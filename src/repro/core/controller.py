@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from ..cluster.gpu import GpuDevice
 from ..netsim.background import BackgroundTrafficManager
-from ..netsim.errors import PolicyError
+from ..netsim.errors import CommunicatorError, PolicyError
 from .communicator import ServiceCommunicator
 from .deployment import MccsDeployment
 from .policies.ffa import fair_flow_assignment
@@ -54,6 +54,9 @@ class CentralManager:
         self.cluster = deployment.cluster
         self.background = background
         self.reports: List[PolicyReport] = []
+        # comm id -> (routes, reconfigure kwargs) to install once the
+        # communicator's pending reconfiguration settles.
+        self._deferred_routes: Dict[int, tuple] = {}
 
     def _record_report(self, report: PolicyReport) -> PolicyReport:
         """File a policy pass in the reports list and the telemetry
@@ -187,13 +190,47 @@ class CentralManager:
         report = PolicyReport(policy=policy)
         for comm in comms:
             routes = assignments.get(comm.comm_id, {})
-            if comm.strategy.route_map() != routes:
-                self.deployment.reconfigure(
-                    comm.comm_id, routes=routes, **reconfig_kw
-                )
+            if self._install_routes(comm, routes, reconfig_kw):
                 report.reconfigured_comms.append(comm.comm_id)
         report.compute_seconds = time.perf_counter() - started
         return self._record_report(report)
+
+    def _install_routes(
+        self, comm: ServiceCommunicator, routes, reconfig_kw
+    ) -> bool:
+        """Move ``comm`` to ``routes``; True if a reconfiguration started.
+
+        While an earlier session of ``comm`` still waits at its barrier,
+        nothing starts: the newest routes are installed once it settles,
+        unless that session already targets them.
+        """
+        comm_id = comm.comm_id
+        pending = self.deployment.reconfig.pending(comm_id)
+        if pending is not None:
+            if pending.new_strategy.route_map() == routes:
+                self._deferred_routes.pop(comm_id, None)
+            else:
+                if comm_id not in self._deferred_routes:
+                    self.deployment.reconfig.when_settled(
+                        comm_id, lambda: self._apply_deferred(comm_id)
+                    )
+                self._deferred_routes[comm_id] = (routes, reconfig_kw)
+            return False
+        if comm.strategy.route_map() == routes:
+            return False
+        self.deployment.reconfigure(comm_id, routes=routes, **reconfig_kw)
+        return True
+
+    def _apply_deferred(self, comm_id: int) -> None:
+        entry = self._deferred_routes.pop(comm_id, None)
+        if entry is None:
+            return
+        try:
+            comm = self.deployment.communicator(comm_id)
+        except CommunicatorError:
+            return  # destroyed while its session was pending
+        if not comm.aborted:
+            self._install_routes(comm, *entry)
 
     # ------------------------------------------------------------------
     # Example #4: traffic scheduling

@@ -418,6 +418,7 @@ class MccsDeployment:
         comm.destroyed = True
         del self._comms[comm.comm_id]
         del self._comm_owner[comm.comm_id]
+        self.reconfig.abandon(comm.comm_id)
 
     def handle_collective(
         self, app_id: str, request: CollectiveRequest

@@ -298,7 +298,36 @@ class ReconfigManager:
         self._proxies_of = proxies_of
         self._telemetry = telemetry
         self._active: Dict[int, ReconfigSession] = {}
+        self._followups: Dict[int, List[Callable[[], None]]] = {}
         self.sessions: List[ReconfigSession] = []
+
+    def pending(self, comm_id: int) -> Optional[ReconfigSession]:
+        """The communicator's session that has not applied yet, if any."""
+        session = self._active.get(comm_id)
+        return None if session is None or session.done else session
+
+    def when_settled(self, comm_id: int, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` once the communicator's pending session has
+        applied or failed; immediately when none is pending."""
+        if self.pending(comm_id) is None:
+            callback()
+        else:
+            self._followups.setdefault(comm_id, []).append(callback)
+
+    def abandon(self, comm_id: int) -> None:
+        """Drop the pending session of a communicator being destroyed: its
+        undelivered requests and its barrier become no-ops."""
+        session = self._active.pop(comm_id, None)
+        if session is not None and not session.done:
+            session.failed = True
+            session.error = ReconfigurationError(
+                f"communicator {comm_id} destroyed while reconfiguring"
+            )
+        self._run_followups(comm_id)
+
+    def _run_followups(self, comm_id: int) -> None:
+        for callback in self._followups.pop(comm_id, ()):
+            callback()
 
     def reconfigure(
         self,
@@ -342,6 +371,7 @@ class ReconfigManager:
             self._active.pop(comm.comm_id, None)
             if on_done is not None:
                 on_done(session)
+            self._run_followups(comm.comm_id)
 
         def timed_out(session: ReconfigSession) -> None:
             self._active.pop(comm.comm_id, None)
@@ -350,6 +380,7 @@ class ReconfigManager:
             else:
                 assert session.error is not None
                 raise session.error
+            self._run_followups(comm.comm_id)
 
         session = ReconfigSession(
             comm,

@@ -27,6 +27,7 @@ clock so a crashed host is noticed even while its communicators are idle.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
@@ -48,6 +49,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deployment import MccsDeployment
     from .proxy import ProxyEngine
     from .reconfig import ReconfigSession
+
+
+def capped_backoff(
+    attempt: int,
+    base: float,
+    factor: float,
+    cap: float,
+    jitter: float = 0.0,
+    rng: Optional[random.Random] = None,
+) -> float:
+    """Delay before retry ``attempt`` (0 = the first retry).
+
+    ``base * factor**attempt`` capped at ``cap``, times
+    ``1 + uniform(0, jitter)`` drawn from ``rng`` when one is given.  The
+    shim, the gateway and the recovery state machine all back off this way.
+    """
+    delay = min(base * factor**attempt, cap)
+    if rng is None:
+        return delay
+    return delay * (1.0 + jitter * rng.random())
 
 
 @dataclass
@@ -303,10 +324,12 @@ class RecoveryManager:
 
                 inst.on_complete = hook
 
-        backoff = min(
-            self.policy.backoff_base
-            * self.policy.backoff_factor ** (rec.attempt - 1),
-            self.policy.backoff_cap,
+        policy = self.policy
+        backoff = capped_backoff(
+            rec.attempt - 1,
+            policy.backoff_base,
+            policy.backoff_factor,
+            policy.backoff_cap,
         )
         self._log(
             comm,

@@ -48,6 +48,7 @@ from .messages import (
     DestroyCommunicatorRequest,
     FreeRequest,
 )
+from .recovery import capped_backoff
 from .sync import export_snapshot
 
 
@@ -114,11 +115,14 @@ class ShimRetryPolicy:
     jitter: float = 0.5
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(
-            self.backoff_base * self.backoff_factor**attempt,
+        return capped_backoff(
+            attempt,
+            self.backoff_base,
+            self.backoff_factor,
             self.backoff_cap,
+            self.jitter,
+            rng,
         )
-        return base * (1.0 + self.jitter * rng.random())
 
 
 @dataclass

@@ -5,19 +5,17 @@ module implements the canonical progressive-filling (water-filling)
 algorithm that realizes weighted max-min fairness over a capacitated link
 set.  Two implementations are provided:
 
-* :func:`progressive_filling` — a direct, readable reference version used
-  by the unit/property tests.
-* :class:`FairnessSolver` — a vectorized numpy version built per call; it
-  remains as the readable one-shot vectorization (and as the solver of the
-  engine's legacy mode).
+* :func:`progressive_filling` — a direct, readable reference version: the
+  oracle the tests hold the engine to.
 * :class:`IncrementalFairnessSolver` — the engine's persistent solver.  It
   keeps the link index, the CSR-style flow/link incidence arrays, and the
   weight vector alive across recomputations, applying O(Δ) structural
   updates on flow add/remove/gate and capacity change; only the numpy
   water-filling itself is global (max-min fairness is a global property).
 
-All produce identical allocations (tested against each other with
-hypothesis, including under randomized churn sequences).
+Both produce the same allocation: to the last bit at every rate
+recomputation of whole experiment replays, and within relative 1e-9
+under randomized hypothesis churn with arbitrary float weights.
 """
 
 from __future__ import annotations
@@ -94,75 +92,6 @@ def progressive_filling(
     return rates
 
 
-class FairnessSolver:
-    """Vectorized progressive filling over a fixed set of flows.
-
-    The solver is rebuilt whenever the active flow set changes; within one
-    build, :meth:`solve` performs only numpy reductions.
-    """
-
-    def __init__(
-        self, flows: Sequence[Flow], capacities: Mapping[str, float]
-    ) -> None:
-        self._flows = [f for f in flows if f.active]
-        self._all = list(flows)
-        link_ids = sorted({l for f in self._flows for l in f.path})
-        self._link_index = {l: i for i, l in enumerate(link_ids)}
-        self._caps = np.array([capacities[l] for l in link_ids], dtype=float)
-        flat_links: List[int] = []
-        flat_flows: List[int] = []
-        for fi, flow in enumerate(self._flows):
-            for link in flow.links:
-                flat_links.append(self._link_index[link])
-                flat_flows.append(fi)
-        self._flat_links = np.asarray(flat_links, dtype=np.int64)
-        self._flat_flows = np.asarray(flat_flows, dtype=np.int64)
-        self._weights = np.array([f.weight for f in self._flows], dtype=float)
-
-    def solve(self) -> Dict[str, float]:
-        """Run progressive filling; returns flow id -> rate (bytes/s)."""
-        num_flows = len(self._flows)
-        rates = np.zeros(num_flows, dtype=float)
-        if num_flows == 0:
-            return {f.flow_id: 0.0 for f in self._all}
-        num_links = len(self._caps)
-        residual = self._caps.copy()
-        unfrozen = np.ones(num_flows, dtype=bool)
-        while unfrozen.any():
-            member_w = self._weights[self._flat_flows] * unfrozen[self._flat_flows]
-            link_weight = np.bincount(
-                self._flat_links, weights=member_w, minlength=num_links
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                share = np.where(link_weight > 0, residual / link_weight, np.inf)
-            best = share.min()
-            if not np.isfinite(best):
-                break
-            best = max(best, 0.0)
-            bottleneck = share <= best * (1 + 1e-9) + _EPS
-            # Flows incident to any bottleneck link freeze at weight*best.
-            hit = bottleneck[self._flat_links] & unfrozen[self._flat_flows]
-            freeze_flows = np.zeros(num_flows, dtype=bool)
-            freeze_flows[self._flat_flows[hit]] = True
-            freeze_flows &= unfrozen
-            if not freeze_flows.any():
-                break
-            rates[freeze_flows] = self._weights[freeze_flows] * best
-            # Subtract the frozen rates from every link they traverse.
-            frozen_mask = freeze_flows[self._flat_flows]
-            used = np.bincount(
-                self._flat_links[frozen_mask],
-                weights=rates[self._flat_flows[frozen_mask]],
-                minlength=num_links,
-            )
-            residual = np.maximum(residual - used, 0.0)
-            unfrozen &= ~freeze_flows
-        result = {f.flow_id: 0.0 for f in self._all}
-        for fi, flow in enumerate(self._flows):
-            result[flow.flow_id] = float(rates[fi])
-        return result
-
-
 #: Live-entry count at or below which :meth:`IncrementalFairnessSolver.
 #: solve` runs its scalar (pure-Python) progressive-filling core instead
 #: of the vectorized one.  Small problems are dominated by numpy call
@@ -188,7 +117,7 @@ class IncrementalFairnessSolver:
     Δ-updates.
 
     :meth:`solve` runs the same progressive filling as
-    :class:`FairnessSolver` over the persistent arrays and returns the
+    :func:`progressive_filling` over the persistent arrays and returns the
     slots whose rate actually moved, which is what lets the engine
     invalidate only the completion-heap entries that changed.  A solve
     with no pending structural deltas is answered from the cached
@@ -790,8 +719,7 @@ def link_loads(
     """Aggregate allocated rate per link.
 
     With ``rates=None`` each flow's currently assigned ``flow.rate`` is
-    used — this is the aggregation behind the engine's
-    ``link_utilization()`` (legacy mode) and the assertion helpers.
+    used — this is the aggregation behind the assertion helpers.
     """
     loads: Dict[str, float] = {}
     for flow in flows:

@@ -6,15 +6,15 @@ of active flows changes.  Flows carry bookkeeping tags (job id, communicator
 id, channel) so policies such as FFA can round-robin between jobs and the
 traffic-scheduling (TS) policy can gate the flows of a specific tenant.
 
-The engine's incremental mode keeps the per-flow *data plane* —
+The engine keeps the per-flow *data plane* —
 remaining bytes, allocated rate, and the lazy-progress anchor — in flat
 numpy arrays (:class:`FlowArena`) so a rate recomputation can settle and
 re-anchor a whole batch of flows with a handful of numpy ops instead of
 N Python attribute walks.  The :class:`Flow` object remains the public
 handle: ``flow.remaining`` / ``flow.rate`` read through to the arena
-while the flow is in the network and fall back to plain attributes once
-it leaves (or when the legacy engine, which never attaches an arena, is
-driving).  Readers never observe stale values either way.
+while the flow is in the network and fall back to plain attributes
+before it enters and once it leaves.  Readers never observe stale values
+either way.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Deque, Optional, Sequence, Tuple
 from collections import deque
 
+from ..core.recovery import capped_backoff
 from ..netsim.errors import PolicyError
 
 
@@ -72,10 +73,14 @@ class GatewayRetryPolicy:
     jitter: float = 0.5
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(
-            self.backoff_base * self.backoff_factor**attempt, self.backoff_cap
+        return capped_backoff(
+            attempt,
+            self.backoff_base,
+            self.backoff_factor,
+            self.backoff_cap,
+            self.jitter,
+            rng,
         )
-        return base * (1.0 + self.jitter * rng.random())
 
 
 class BreakerState(str, Enum):

@@ -23,6 +23,7 @@ from repro.errors import ReproError
 from repro.faults import FaultInjector
 from repro.netsim.fabric import RegionSpec, wan_links
 from repro.netsim.units import MB
+from tests.engine_oracle import cluster_engine
 
 pytestmark = pytest.mark.chaos
 
@@ -38,7 +39,8 @@ _op = st.one_of(
 
 def _run_interleaving(ops, *, macro, sharded):
     """Replay one op script; returns (world, epoch, final recv bytes)."""
-    cluster = multi_region_cluster(RegionSpec(), macro=macro, sharded=sharded)
+    with cluster_engine(macro=macro, sharded=sharded):
+        cluster = multi_region_cluster(RegionSpec())
     deployment = MccsDeployment(cluster, ecmp_seed=0)
     deployment.enable_recovery(
         RecoveryPolicy(collective_deadline=1.0), heartbeat_until=3.0

@@ -64,6 +64,78 @@ def test_apply_flow_policy_ffa_and_back_to_ecmp(env):
     assert all(not c.strategy.route_map() for c in deployment.communicators())
 
 
+def test_flow_policy_waits_for_a_pending_route_change(env):
+    """A policy pass while an earlier route change still waits at its
+    barrier installs the newest assignment once that session settles."""
+    cluster, deployment, manager = env
+    manager.admit("A", [cluster.hosts[0].gpus[0], cluster.hosts[2].gpus[0]])
+    slow = {"delays": [0.01, 0.01]}
+    first = manager.apply_flow_policy("ffa", **slow)
+    assert first.reconfigured_comms
+    (comm,) = deployment.communicators()
+    pending = deployment.reconfig.pending(comm.comm_id)
+    assert pending is not None
+    # The same target again: nothing new is queued.
+    assert manager.apply_flow_policy("ffa", **slow).reconfigured_comms == []
+    # A different target: deferred, then applied after the first session.
+    assert manager.apply_flow_policy("ecmp").reconfigured_comms == []
+    assert deployment.reconfig.pending(comm.comm_id) is pending
+    deployment.run()
+    assert pending.done
+    assert comm.strategy.route_map() == {}
+    assert len(deployment.reconfig.sessions) == 2
+    # Going back to the pending target cancels a queued change.
+    manager.apply_flow_policy("ffa", **slow)
+    manager.apply_flow_policy("ecmp", **slow)
+    manager.apply_flow_policy("ffa", **slow)
+    deployment.run()
+    assert comm.strategy.route_map() == pending.new_strategy.route_map()
+    assert len(deployment.reconfig.sessions) == 3
+
+
+def test_destroy_abandons_a_pending_route_change(env):
+    cluster, deployment, manager = env
+    state = manager.admit(
+        "A", [cluster.hosts[0].gpus[0], cluster.hosts[2].gpus[0]]
+    )
+    client = deployment.connect("A")
+    comm = client.adopt_communicator(state.comm_id)
+    manager.apply_flow_policy("ffa", delays=[0.01, 0.01])
+    manager.apply_flow_policy("ecmp")  # deferred behind the first session
+    session = deployment.reconfig.pending(state.comm_id)
+    client.destroy_communicator(comm)
+    deployment.run()  # the barrier must not resolve on a dead communicator
+    assert session.failed and not session.done
+    assert deployment.reconfig.pending(state.comm_id) is None
+    assert len(deployment.reconfig.sessions) == 1
+
+
+def test_fig11_replay_survives_overlapping_route_changes(monkeypatch):
+    """Regression: this replay used to raise "communicator N already
+    reconfiguring" when FFA re-ran on a job join or exit while an earlier
+    route change of some communicator still waited at its barrier."""
+    from repro.core.communicator import ServiceCommunicator
+    from repro.experiments.fig11_simulation import SOLUTIONS, run_fig11
+
+    comms = []
+    original_init = ServiceCommunicator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        comms.append(self)
+
+    monkeypatch.setattr(ServiceCommunicator, "__init__", recording_init)
+    outcome = run_fig11(
+        placement="random", num_jobs=16, iterations=50, channels=2, seed=6
+    )
+    jobs = {job.job_id for job in outcome.jobs}
+    assert len(jobs) == 16
+    for solution in SOLUTIONS:
+        assert set(outcome.comm_time[solution]) == jobs
+    assert comms
+    assert all(comm.inconsistent_collectives == 0 for comm in comms)
+
+
 def test_apply_flow_policy_pfa(env):
     cluster, deployment, manager = env
     a = manager.admit("A", [cluster.hosts[0].gpus[0], cluster.hosts[2].gpus[0]])

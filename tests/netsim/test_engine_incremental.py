@@ -1,11 +1,16 @@
-"""Old-engine vs new-engine equivalence, and the incremental-only surface.
+"""The engine against its oracle on real scenarios, and the fast modes.
 
-The legacy core (full solver rebuild + full completion scans per event) is
-kept as the reference implementation; the incremental core (persistent
-solver, completion heap, virtual-byte clock) must reproduce its results
-exactly on real scenarios.  These tests replay the Figure 7 reconfiguration
-timeline and a Figure 8 multi-tenant grid under both modes and compare
-completion timestamps and bandwidths.
+:func:`~repro.netsim.fairness.progressive_filling` is the reference: an
+:class:`~tests.engine_oracle.OracleObserver` checks at every rate
+recomputation that each in-network flow's rate equals the reference
+allocation exactly, and at every completion that the flow delivered its
+size.  These tests replay the Figure 7 reconfiguration timeline, a Figure 8
+multi-tenant grid, a link-churn scenario, a deployment failover and a
+reduced Figure 10 timeline (which exercises ``interference_penalty``)
+under that observer; the Figure 7, link-churn and failover tests also
+replay their scenario under macro aggregation plus the sharded solver and
+compare with ``==``.  The datacenter fast modes must reproduce the plain
+engine's results bit-identically.
 """
 
 import itertools
@@ -14,12 +19,12 @@ import pytest
 
 import repro.baselines.nccl as nccl_mod
 import repro.core.communicator as comm_mod
-import repro.netsim.engine as engine_mod
 import repro.netsim.flows as flows_mod
 import repro.transport.launcher as launcher_mod
 from repro.core.transport import TrafficGateManager, WindowSchedule
 from repro.netsim.engine import FlowSimulator, SimObserver
 from repro.netsim.topology import Topology
+from tests.engine_oracle import OracleObserver, cluster_engine
 
 
 def _reset_global_counters(monkeypatch):
@@ -35,10 +40,15 @@ def _reset_global_counters(monkeypatch):
     monkeypatch.setattr(launcher_mod, "_launch_counter", itertools.count())
 
 
-def _run_in_mode(monkeypatch, incremental, fn):
+def _run_with_oracle(monkeypatch, fn):
+    """Run ``fn`` with the oracle on every cluster simulator it builds."""
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(engine_mod, "DEFAULT_INCREMENTAL", incremental)
-    return fn()
+    with cluster_engine(oracle=True) as observers:
+        result = fn()
+    assert observers, "the scenario built no cluster simulator"
+    assert sum(o.checks for o in observers) > 0
+    assert sum(o.completions for o in observers) > 0
+    return result
 
 
 def line_topo(cap=8.0):
@@ -50,7 +60,7 @@ def line_topo(cap=8.0):
 
 
 # ----------------------------------------------------------------------
-# determinism: legacy and incremental engines agree on real scenarios
+# the engine matches progressive filling on real scenarios
 # ----------------------------------------------------------------------
 def test_fig07_timeline_identical_across_engines(monkeypatch):
     from repro.experiments.fig07_reconfig import run_fig07
@@ -62,40 +72,36 @@ def test_fig07_timeline_identical_across_engines(monkeypatch):
             bg_start=2.0,
             reconfig_at=3.0,
         )
-        return timeline
+        return (
+            [(p.time, p.algbw_gBps) for p in timeline.points],
+            timeline.ring_after,
+            timeline.reconfig_done,
+        )
 
-    legacy = _run_in_mode(monkeypatch, False, scenario)
-    incremental = _run_in_mode(monkeypatch, True, scenario)
-    assert len(legacy.points) == len(incremental.points)
-    assert len(legacy.points) > 0
-    for old, new in zip(legacy.points, incremental.points):
-        assert new.time == pytest.approx(old.time, rel=1e-9, abs=1e-9)
-        assert new.algbw_gBps == pytest.approx(old.algbw_gBps, rel=1e-9)
-    assert legacy.ring_after == incremental.ring_after
-    assert legacy.reconfig_done == pytest.approx(
-        incremental.reconfig_done, rel=1e-9
-    )
+    reference = _run_with_oracle(monkeypatch, scenario)
+    assert len(reference[0]) > 0
+    assert _run_in_fast_mode(monkeypatch, True, True, scenario) == reference
 
 
 def test_fig08_grid_identical_across_engines(monkeypatch):
-    from repro.experiments.fig08_multi_app import run_fig08
+    """The engine against the oracle; the fast modes replay this grid in
+    ``test_fig08_grid_bit_identical_in_fast_modes``."""
+    grid = _run_with_oracle(monkeypatch, _fig08_speedup_grid)
+    assert len(grid) > 0
 
-    def scenario():
-        results = run_fig08(
-            setups=("setup1",),
-            trials=1,
-            op_bytes=32 * 1024 * 1024,
-            duration=0.8,
-            warmup=0.2,
-        )
-        return [(r.setup, r.system, r.app_id, r.stat.mean) for r in results]
 
-    legacy = _run_in_mode(monkeypatch, False, scenario)
-    incremental = _run_in_mode(monkeypatch, True, scenario)
-    assert len(legacy) == len(incremental)
-    for old, new in zip(legacy, incremental):
-        assert new[:3] == old[:3]
-        assert new[3] == pytest.approx(old[3], rel=1e-9)
+def test_fig10_interference_timeline_matches_oracle(monkeypatch):
+    """A reduced Figure 10 run: FFA, PFA and TS under a nonzero
+    interference penalty, so the oracle's capacities are penalized."""
+    from repro.experiments.fig10_dynamic import run_fig10
+
+    timeline = _run_with_oracle(
+        monkeypatch,
+        lambda: run_fig10(
+            t1=0.3, t2=0.6, t3=0.9, t4=1.2, end=1.5, penalty=0.3
+        ),
+    )
+    assert timeline.throughput
 
 
 #: The datacenter fast modes (macro aggregation, sharded solver, both);
@@ -110,10 +116,8 @@ FAST_MODES = [
 
 def _run_in_fast_mode(monkeypatch, macro, sharded, fn):
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(engine_mod, "DEFAULT_INCREMENTAL", True)
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO", macro)
-    monkeypatch.setattr(engine_mod, "DEFAULT_SHARDED", sharded)
-    return fn()
+    with cluster_engine(macro=macro, sharded=sharded):
+        return fn()
 
 
 def _fig08_speedup_grid():
@@ -166,14 +170,14 @@ def test_fig11_speedups_bit_identical_in_fast_modes(monkeypatch, macro, sharded)
     assert fast == reference
 
 
-@pytest.mark.parametrize("incremental", [False, True])
-def test_staggered_sharing_same_in_both_modes(incremental):
-    sim = FlowSimulator(line_topo(), incremental=incremental)
+@pytest.mark.parametrize("macro", [False, True])
+def test_staggered_sharing_same_in_both_modes(macro):
+    sim = FlowSimulator(line_topo(), macro=macro)
     f1 = sim.add_flow(8.0, ["a->b"])
     sim.schedule(0.5, lambda: sim.add_flow(8.0, ["a->b"]))
     sim.run()
     assert f1.end_time == pytest.approx(1.5)
-    assert sim.incremental is incremental
+    assert sim.macro is macro
 
 
 # ----------------------------------------------------------------------
@@ -259,31 +263,18 @@ def test_perf_counters_incremental():
     assert counters["heap_invalidations"] > 0
 
 
-def test_perf_counters_legacy_mode_reports_rebuilds():
-    sim = FlowSimulator(line_topo(), incremental=False)
-    sim.add_flow(8.0, ["a->b"])
-    sim.run()
-    counters = sim.perf_counters()
-    assert counters["solver_delta_updates"] == 0
-    assert counters["solver_rebuilds_avoided"] == 0
-    assert counters["solver_full_rebuilds"] == counters["rate_recomputations"]
-
-
 def test_rate_recomputations_count_matches_dirty_transitions():
-    # Semantics guard: one recomputation per dirty->clean transition, in
-    # both modes, for the same scenario.
-    def run(incremental):
-        sim = FlowSimulator(line_topo(), incremental=incremental)
-        sim.add_flow(8.0, ["a->b"])
-        sim.schedule(0.25, lambda: sim.add_flow(4.0, ["a->b"]))
-        sim.run()
-        return sim.rate_recomputations
-
-    assert run(True) == run(False)
+    # Semantics guard: one recomputation per dirty->clean transition.
+    # Dirty at t=0 (add), 0.25 (add), 1.25 and 1.5 (completions).
+    sim = FlowSimulator(line_topo())
+    sim.add_flow(8.0, ["a->b"])
+    sim.schedule(0.25, lambda: sim.add_flow(4.0, ["a->b"]))
+    sim.run()
+    assert sim.rate_recomputations == 4
 
 
 # ----------------------------------------------------------------------
-# link churn: fail/degrade/restore is bit-identical across engine modes
+# link churn and failover: every allocation matches the oracle
 # ----------------------------------------------------------------------
 def diamond_topo(cap=8.0):
     topo = Topology()
@@ -296,9 +287,11 @@ def diamond_topo(cap=8.0):
     return topo
 
 
-def _churn_scenario(incremental):
+def _churn_scenario(macro=False, sharded=False):
     """Flows through a diamond while one path flaps and one degrades."""
-    sim = FlowSimulator(diamond_topo(), incremental=incremental)
+    sim = FlowSimulator(diamond_topo(), macro=macro, sharded=sharded)
+    oracle = OracleObserver(sim)
+    sim.add_observer(oracle)
     log = []
     f1 = sim.add_flow(
         16.0, ["a->m1", "m1->b"],
@@ -327,7 +320,7 @@ def _churn_scenario(incremental):
     end = sim.run()
     counters = sim.perf_counters()
     return {
-        "log": tuple(log),
+        "log": tuple((entry[0], entry[2]) for entry in log),
         "end": end,
         "f1": (f1.failed, f1.remaining, f1.end_time),
         "f2": (f2.completed, f2.end_time),
@@ -335,20 +328,29 @@ def _churn_scenario(incremental):
         "flows_failed": counters["flows_failed"],
         "flows_completed": counters["flows_completed"],
         "link_up": sim.link_is_up("m1->b"),
+        "oracle": (oracle.checks, oracle.completions),
+        "rate_recomputations": counters["rate_recomputations"],
     }
 
 
-def test_link_churn_identical_across_engines(monkeypatch):
-    legacy = _run_in_mode(monkeypatch, False, lambda: _churn_scenario(False))
-    incremental = _run_in_mode(monkeypatch, True, lambda: _churn_scenario(True))
-    assert legacy == incremental  # bit-identical, not just approximately
-    assert legacy["flows_failed"] == 1
-    assert legacy["f1"][0] and legacy["f2"][0]
-    assert legacy["link_up"]
+def test_link_churn_identical_across_engines():
+    reference = _churn_scenario()
+    assert reference["oracle"] == (reference["rate_recomputations"], 2)
+    # f1 dies with m1->b at t=0.5 after delivering 4 of its 16 bytes; f2
+    # runs at 8 B/s, at 4 B/s from 0.7 to 1.1, then at 8 B/s again; the
+    # relaunched flow has the restored path to itself from 0.9.
+    assert reference["f1"] == (True, 12.0, None)
+    assert reference["f2"] == (True, pytest.approx(2.2))
+    assert reference["late"] == [(True, pytest.approx(1.9))]
+    assert [kind for kind, _ in reference["log"]] == ["fail", "done", "done"]
+    assert reference["flows_failed"] == 1
+    assert reference["link_up"]
+    assert _churn_scenario(macro=True, sharded=True) == reference
 
 
 def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
-    """A full deployment-level failover replays identically in both modes."""
+    """A full deployment-level failover replays identically under the
+    oracle and in the fast modes."""
     import numpy as np
 
     from repro.cluster.specs import testbed_cluster
@@ -399,7 +401,6 @@ def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
             tuple((e["time"], e["event"]) for e in recovery.audit),
         )
 
-    legacy = _run_in_mode(monkeypatch, False, scenario)
-    incremental = _run_in_mode(monkeypatch, True, scenario)
-    assert legacy == incremental
-    assert legacy[2] >= 2  # the big collective really was retried
+    reference = _run_with_oracle(monkeypatch, scenario)
+    assert reference[2] >= 2  # the big collective really was retried
+    assert _run_in_fast_mode(monkeypatch, True, True, scenario) == reference

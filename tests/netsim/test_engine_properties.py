@@ -9,6 +9,11 @@ Three properties the whole reproduction leans on:
   (the experiments rely on seeded reproducibility);
 * **feasibility over time** — at no recompute does any link exceed its
   capacity.
+
+Every replay also runs under the :class:`~tests.engine_oracle.
+OracleObserver`, so each recomputed allocation is checked against
+:func:`~repro.netsim.fairness.progressive_filling` and each completion
+against the flow's size.
 """
 
 import pytest
@@ -16,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.topology import Topology
+from tests.engine_oracle import OracleObserver
 
 
 def grid_topology(num_links, caps):
@@ -48,6 +54,10 @@ def scenario(draw):
 
 def replay(num_links, caps, flow_specs, audit=None):
     sim = FlowSimulator(grid_topology(num_links, caps))
+    # Arbitrary float capacities and weights: the reference may differ
+    # from the engine in the last bit.
+    oracle = OracleObserver(sim, rel=1e-9)
+    sim.add_observer(oracle)
     record = []
     flows = []
     for spec in flow_specs:
@@ -70,6 +80,7 @@ def replay(num_links, caps, flow_specs, audit=None):
 
         sim._ensure_rates = audited
     end = sim.run()
+    assert oracle.completions == len(flow_specs)
     return end, record, flows
 
 

@@ -1,10 +1,15 @@
-"""Max-min fairness allocator tests, including reference/vectorized parity."""
+"""Max-min fairness allocator tests, including reference/engine-solver parity.
+
+The hypothesis properties run the solver the engine actually uses
+(:class:`IncrementalFairnessSolver`, built fresh per scenario), with
+:func:`progressive_filling` as the reference.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fairness import (
-    FairnessSolver,
+    IncrementalFairnessSolver,
     bottleneck_rate,
     link_loads,
     progressive_filling,
@@ -14,6 +19,15 @@ from repro.netsim.flows import Flow
 
 def mk_flow(path, weight=1.0, gated=False, size=1e9):
     return Flow(size=size, path=tuple(path), weight=weight, gated=gated)
+
+
+def solve(flows, caps):
+    """Flow id -> rate from the engine's solver over ``flows``."""
+    solver = IncrementalFairnessSolver(caps)
+    for flow in flows:
+        solver.add_flow(flow)
+    solver.solve()
+    return solver.rates_by_id()
 
 
 CAPS = {"l1": 10.0, "l2": 10.0, "l3": 5.0}
@@ -87,7 +101,7 @@ def test_link_loads_sum_of_rates():
 
 
 # ---------------------------------------------------------------------------
-# property-based: vectorized solver == reference, and max-min invariants
+# property-based: engine solver matches reference, and max-min invariants
 # ---------------------------------------------------------------------------
 @st.composite
 def random_scenario(draw):
@@ -112,7 +126,7 @@ def random_scenario(draw):
 def test_vectorized_matches_reference(scenario):
     flows, caps = scenario
     ref = progressive_filling(flows, caps)
-    vec = FairnessSolver(flows, caps).solve()
+    vec = solve(flows, caps)
     for f in flows:
         assert vec[f.flow_id] == pytest.approx(ref[f.flow_id], rel=1e-6, abs=1e-9)
 
@@ -121,7 +135,7 @@ def test_vectorized_matches_reference(scenario):
 @settings(max_examples=120, deadline=None)
 def test_allocation_is_feasible_and_positive(scenario):
     flows, caps = scenario
-    rates = FairnessSolver(flows, caps).solve()
+    rates = solve(flows, caps)
     loads = link_loads(flows, rates)
     for link, load in loads.items():
         assert load <= caps[link] * (1 + 1e-6)
@@ -137,7 +151,7 @@ def test_allocation_is_feasible_and_positive(scenario):
 def test_maxmin_no_unilateral_increase(scenario):
     """No active flow can grow without a saturated link on its path."""
     flows, caps = scenario
-    rates = FairnessSolver(flows, caps).solve()
+    rates = solve(flows, caps)
     loads = link_loads(flows, rates)
     for f in flows:
         if not f.active:

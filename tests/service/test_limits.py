@@ -69,6 +69,32 @@ def test_retry_jitter_stays_bounded():
         assert base <= d <= base * 1.5
 
 
+def test_shim_and_gateway_back_off_identically():
+    """One capped-exponential backoff: the shim's and the gateway's retry
+    policies give the same delays for the same rng draws, and recovery's
+    un-jittered backoff is the same curve."""
+    from repro.core.recovery import RecoveryPolicy, capped_backoff
+    from repro.core.shim import ShimRetryPolicy
+
+    shim, gateway = ShimRetryPolicy(), GatewayRetryPolicy()
+    shim_rng, gateway_rng = random.Random(42), random.Random(42)
+    check_rng = random.Random(42)
+    for attempt in range(10):
+        expected = min(0.002 * 2.0**attempt, 0.05) * (
+            1.0 + 0.5 * check_rng.random()
+        )
+        assert shim.delay(attempt, shim_rng) == expected
+        assert gateway.delay(attempt, gateway_rng) == expected
+    recovery = RecoveryPolicy()
+    for attempt in range(10):
+        assert capped_backoff(
+            attempt,
+            recovery.backoff_base,
+            recovery.backoff_factor,
+            recovery.backoff_cap,
+        ) == min(0.005 * 2.0**attempt, 0.1)
+
+
 # -- circuit breaker ----------------------------------------------------------
 def _tripped_breaker(now=0.0):
     breaker = CircuitBreaker(

@@ -25,6 +25,7 @@ from repro.synth import (
     temporarily_registered,
     unregister_program,
 )
+from tests.engine_oracle import cluster_engine
 
 ENGINE_MODES = ((False, False), (True, False), (False, True), (True, True))
 
@@ -111,9 +112,8 @@ def test_synthesized_program_moves_real_bytes_on_every_engine(
     hier_program, macro, sharded
 ):
     """Byte-exact buffer round trip through the flow data plane."""
-    cluster = multi_region_cluster(
-        RegionSpec(), macro=macro, sharded=sharded
-    )
+    with cluster_engine(macro=macro, sharded=sharded):
+        cluster = multi_region_cluster(RegionSpec())
     gpus = [h.gpus[0] for h in cluster.hosts]
     with temporarily_registered(hier_program) as (algo,):
         deployment = MccsDeployment(cluster)
