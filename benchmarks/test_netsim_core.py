@@ -14,8 +14,8 @@ archive the trend:
   total flows;
 * ``scale_curve``: the datacenter-scale points — channelized NCCL-shaped
   waves (``repro.netsim.profile``) at 1k/10k/100k flows on 1/4/16-pod
-  Clos fabrics (512–8192 GPUs), run with macro aggregation + the sharded
-  solver; only ``sim.run()`` is timed, workload generation is not;
+  Clos fabrics (512–8192 GPUs); only ``sim.run()`` is timed, workload
+  generation is not;
 * ``fig11``: the recorded pre-optimization wall clock of the Figure 11
   random-placement run and the wall clock measured now.
 
@@ -43,7 +43,7 @@ from repro.netsim.flows import Flow
 BASELINE_FIG11_WALL_S = 49.25
 
 #: Event-loop throughput of the 10k-flow point before the flat-array /
-#: macro / sharded work landed (committed BENCH_netsim.json history) —
+#: macro-flow work landed (committed BENCH_netsim.json history) —
 #: the denominator of the scale-curve speedup gate.
 PRE_OPT_EVENTS_PER_SEC_10K = 4261.16
 
@@ -186,7 +186,7 @@ SCALE_POINTS = [
 
 @pytest.mark.parametrize("num_flows,pods,reps", SCALE_POINTS)
 def test_scale_curve(num_flows, pods, reps):
-    """Channelized waves on multi-pod Clos, macro + sharded, timed run only."""
+    """Channelized waves on multi-pod Clos, timed run only."""
     from repro.netsim.fabric import multi_pod_clos
     from repro.netsim.profile import (
         DEFAULT_INTER_POD,
@@ -200,7 +200,7 @@ def test_scale_curve(num_flows, pods, reps):
     best_run = None
     for _ in range(reps):
         fabric = multi_pod_clos(spec)
-        sim = FlowSimulator(fabric.topology, macro=True, sharded=True)
+        sim = FlowSimulator(fabric.topology)
         injected = prepare_scale_workload(
             sim, spec, num_flows, channels=SCALE_CHANNELS
         )
@@ -221,8 +221,6 @@ def test_scale_curve(num_flows, pods, reps):
         "gpus": spec.gpus,
         "channels": SCALE_CHANNELS,
         "inter_pod_fraction": DEFAULT_INTER_POD,
-        "macro": True,
-        "sharded": True,
         "wall_s": wall,
         "events_per_sec": best,
         **counters,
@@ -230,7 +228,6 @@ def test_scale_curve(num_flows, pods, reps):
     print(
         f"\nscale curve @ {injected} flows / {pods} pod(s) ({spec.gpus} GPUs): "
         f"{best:,.0f} events/s ({wall:.3f}s timed run), "
-        f"{counters['solver_domains']} domains, "
         f"{counters['macro_groups']} macro groups live at drain"
     )
     if num_flows == 10_000 and pods == 16:

@@ -273,6 +273,15 @@ class RecoveryManager:
             rec.kind = "service_crash"
             self._schedule_cycle(rec, delay=self.policy.restart_poll)
             return
+        if (
+            self.deployment.reconfig.pending(comm.comm_id) is not None
+            and self.sim.now - rec.started_at <= self.policy.restart_wait
+        ):
+            # Another session (an elastic drain, a provider retune) holds
+            # the barrier: the repair's reroute would be refused, so wait
+            # for it to settle without consuming a repair attempt.
+            self._schedule_cycle(rec, delay=self.policy.restart_poll)
+            return
         rec.attempt += 1
         dead = self._dead_ranks(comm)
         if dead:

@@ -251,19 +251,29 @@ def export_artifacts(results: List[AttributionResult], hub=None) -> None:
         hub.flight.write_json(flight_path)
 
 
+def top_interference(ledger: Dict[str, Dict[str, float]]) -> str:
+    """The ledger's largest ``tenant<-other`` pair, formatted for the
+    table.  Exact ties (``A<-B`` and ``B<-A`` share every bottleneck
+    second) go to the alphabetically first pair, not to whichever the
+    ledger happened to record first."""
+    pairs = sorted(
+        (
+            (-seconds, tenant, other)
+            for tenant, row in ledger.items()
+            for other, seconds in row.items()
+        )
+    )
+    if not pairs:
+        return "-"
+    seconds, tenant, other = pairs[0]
+    return f"{tenant}<-{other} {-seconds:.3f}s"
+
+
 def main(rounds: int = 6) -> None:
     results = run_attribution(rounds=rounds)
     rows = []
     for r in results:
-        pairs = sorted(
-            (
-                (a, b, s)
-                for a, row in r.ledger.items()
-                for b, s in row.items()
-            ),
-            key=lambda t: -t[2],
-        )
-        top = f"{pairs[0][0]}<-{pairs[0][1]} {pairs[0][2]:.3f}s" if pairs else "-"
+        top = top_interference(r.ledger)
         rows.append(
             [
                 r.setup,

@@ -41,7 +41,6 @@ from .fabric import (
 from .fairness import bottleneck_rate, link_loads, progressive_filling
 from .flows import Flow
 from .macroflow import MacroFlowSolver
-from .sharding import ShardedFairnessSolver
 from .routing import (
     ClosEcmpSelector,
     ConnectionKey,
@@ -79,7 +78,6 @@ __all__ = [
     "RingFabricSpec",
     "RouteIdSelector",
     "RouteMap",
-    "ShardedFairnessSolver",
     "SimulationError",
     "Topology",
     "UnknownLinkError",

@@ -12,7 +12,9 @@ generator) is driven by callbacks on this clock, so the whole reproduction
 shares one coherent notion of time.
 
 A persistent :class:`~repro.netsim.fairness.IncrementalFairnessSolver`
-absorbs flow churn in O(Δ), completions come from a heap of ETAs under a
+behind :class:`~repro.netsim.macroflow.MacroFlowSolver` (one solver slot
+per group of same-(path, weight, job) channels) absorbs flow churn in
+O(Δ), completions come from a heap of ETAs under a
 *virtual-byte clock* (each flow's ``remaining`` is exact as of
 ``flow._synced_at`` and derived lazily as
 ``remaining - rate * (now - _synced_at)`` until its rate changes), and
@@ -35,7 +37,6 @@ from .errors import LinkDownError, SimulationError
 from .fairness import IncrementalFairnessSolver
 from .flows import Flow, FlowArena
 from .macroflow import MacroFlowSolver
-from .sharding import ShardedFairnessSolver
 from .topology import Topology
 
 # Completion slack: flows within this many bytes of done are completed.
@@ -89,8 +90,6 @@ class FlowSimulator:
         topology: Topology,
         start_time: float = 0.0,
         interference_penalty: float = 0.0,
-        macro: bool = False,
-        sharded: bool = False,
     ) -> None:
         """Args:
             topology: The network graph.
@@ -103,14 +102,6 @@ class FlowSimulator:
                 carrying active flows of two or more distinct jobs has its
                 effective capacity scaled by ``1 - interference_penalty``.
                 0 (default) is the paper's §6.5 per-flow-fairness model.
-            macro: Aggregate flows sharing (path, weight, job) into one
-                solver slot (:mod:`repro.netsim.macroflow`); member rates
-                stay bit-identical to the per-flow reference.
-            sharded: Shard the fairness solve by sharing component
-                (:mod:`repro.netsim.sharding`) — datacenter-scale mode
-                for multi-pod fabrics.  Incompatible with
-                ``interference_penalty`` (a global capacity coupling).
-                Composes with ``macro``.
         """
         if not 0.0 <= interference_penalty < 1.0:
             raise ValueError("interference_penalty must be in [0, 1)")
@@ -130,23 +121,11 @@ class FlowSimulator:
         self.flows_cancelled = 0
         self.flows_failed = 0
         self.rate_recomputations = 0
-        if sharded and interference_penalty > 0:
-            raise ValueError(
-                "sharded mode does not support interference_penalty "
-                "(the penalty couples capacities globally)"
-            )
-        self.macro = macro
-        self.sharded = sharded
-        self._shard_solver: Optional[ShardedFairnessSolver] = None
-        self._macro_solver: Optional[MacroFlowSolver] = None
-        if sharded:
-            self._shard_solver = ShardedFairnessSolver(self._capacities)
-            self._inc = self._shard_solver
-        else:
-            self._inc = IncrementalFairnessSolver(self._capacities)
-        if macro:
-            self._macro_solver = MacroFlowSolver(self._inc)
-            self._inc = self._macro_solver
+        # Channels sharing (path, weight, job) share one solver slot;
+        # member rates equal the per-flow allocation (see macroflow).
+        self._inc = MacroFlowSolver(
+            IncrementalFairnessSolver(self._capacities)
+        )
         # Flat-array data plane: remaining/rate/synced of in-network flows
         # live in one arena so rate recomputations settle and re-anchor
         # whole batches with numpy ops.
@@ -220,10 +199,10 @@ class FlowSimulator:
         """Inject ``count`` identical-parameter flows in one call.
 
         The batched form of :meth:`add_flow` for a collective's channel
-        fan-out: path validation and the down-link scan run once, and a
-        solver that understands batches (macro aggregation) registers the
-        whole sibling set with a single group lookup.  Semantically
-        equivalent to calling :meth:`add_flow` ``count`` times.
+        fan-out: path validation and the down-link scan run once, and the
+        solver registers the whole sibling set with a single macro-group
+        lookup.  Semantically equivalent to calling :meth:`add_flow`
+        ``count`` times.
         """
         path_t = tuple(path)
         # Links are never deleted from a topology (faults only mark them
@@ -259,13 +238,7 @@ class FlowSimulator:
             flow._attach(arena)
             active[flow.flow_id] = flow
             flows.append(flow)
-        inc = self._inc
-        batch_add = getattr(inc, "add_flows", None)
-        if batch_add is not None:
-            batch_add(flows)
-        else:
-            for flow in flows:
-                inc.add_flow(flow)
+        self._inc.add_flows(flows)
         self._dirty = True
         if self._observers:
             for flow in flows:
@@ -364,13 +337,11 @@ class FlowSimulator:
     def set_link_bandwidth(self, link_id: str, capacity: float) -> None:
         """Live bandwidth change with route re-resolution (WAN drift).
 
-        Same exact capacity mutation as :meth:`set_link_capacity` —
-        flowing through the incremental/macro/sharded solver chain via
-        ``set_capacity`` — plus a topology routing-epoch bump so
-        consumers with pinned paths (:class:`~repro.transport.
-        connections.ConnectionTable`) re-resolve and the resized link
-        is actually reconsidered by ECMP.  In-flight flows keep their
-        paths and simply see the new fair-share rates.
+        Same exact capacity mutation as :meth:`set_link_capacity`, plus a
+        topology routing-epoch bump so consumers with pinned paths
+        (:class:`~repro.transport.connections.ConnectionTable`) re-resolve
+        and the resized link is actually reconsidered by ECMP.  In-flight
+        flows keep their paths and simply see the new fair-share rates.
         """
         self.set_link_capacity(link_id, capacity)
         self.topology.bump_routing_epoch()
@@ -458,20 +429,11 @@ class FlowSimulator:
         )
         counters["solver_last_delta"] = inc.last_delta
         counters["solver_delta_total"] = inc.delta_flows_total
-        counters["solver_solves_skipped"] = getattr(inc, "solves_skipped", 0)
-        counters["solver_scalar_solves"] = getattr(inc, "scalar_solves", 0)
-        if self._shard_solver is not None:
-            shard = self._shard_solver
-            counters["solver_domains"] = shard.domain_count
-            counters["solver_domain_merges"] = shard.domain_merges
-            counters["solver_domain_dissolutions"] = shard.domain_dissolutions
-            counters["solver_max_domain_flows"] = shard.max_domain_flows
-            counters["solver_solo_solves"] = shard.solo_solves
-        if self._macro_solver is not None:
-            mac = self._macro_solver
-            counters["macro_groups"] = mac.macro_groups
-            counters["macro_members"] = mac.macro_members
-            counters["macro_peak_group_size"] = mac.macro_peak_group_size
+        counters["solver_solves_skipped"] = inc.solves_skipped
+        counters["solver_scalar_solves"] = inc.scalar_solves
+        counters["macro_groups"] = inc.macro_groups
+        counters["macro_members"] = inc.macro_members
+        counters["macro_peak_group_size"] = inc.macro_peak_group_size
         return counters
 
     # ------------------------------------------------------------------
@@ -573,7 +535,6 @@ class FlowSimulator:
     def _complete_flows(self, finishing: List[Flow]) -> None:
         completed: List[Flow] = []
         now = self.now
-        inc = self._inc
         active = self._active
         for flow in finishing:
             if flow.flow_id not in active:
@@ -593,12 +554,7 @@ class FlowSimulator:
             flow._synced = now
             completed.append(flow)
         if completed:
-            batch_remove = getattr(inc, "remove_flows", None)
-            if batch_remove is not None:
-                batch_remove(completed)
-            else:
-                for flow in completed:
-                    inc.remove_flow(flow)
+            self._inc.remove_flows(completed)
             self.flows_completed += len(completed)
             self._dirty = True
         for flow in completed:
@@ -693,18 +649,13 @@ class FlowSimulator:
         delta = inc.last_delta
         if delta > 1:
             self.solver_coalesced_solves += delta - 1
-        clist = changed.tolist() if isinstance(changed, np.ndarray) else changed
-        # Every solver flavor keeps its slot table as a plain list
-        # (``_slots`` on the wrappers, ``_flows`` on the incremental
-        # solver); indexing it directly replaces one ``flow_at`` method
-        # call per changed slot, which adds up over 100k-flow runs.
-        table = getattr(inc, "_slots", None)
-        if table is None:
-            table = inc._flows
-        if len(clist) >= self._BATCH_MIN:
-            self._install_rates_batch(inc, table, rates, clist)
+        # Index the member slot table directly: a method call per changed
+        # slot adds up over 100k-flow runs.
+        table = inc._slots
+        if len(changed) >= self._BATCH_MIN:
+            self._install_rates_batch(inc, table, rates, changed)
             return
-        for slot in clist:
+        for slot in changed:
             flow = table[slot]
             if flow is None:
                 continue

@@ -198,8 +198,7 @@ class MultiPodSpec:
 
     A *pod* is a self-contained spine-leaf Clos; pods are joined by a
     core tier every pod spine uplinks into.  Intra-pod traffic never
-    leaves the pod, which is what the sharded fairness solver exploits:
-    pod-local flow populations form independent fairness domains.
+    leaves the pod; only cross-pod connections load the core tier.
 
     Defaults build a 4-pod / 1024-GPU fabric; the ROADMAP north-star
     scales (e.g. ``pods=16, leaves_per_pod=16``, 8192 GPUs, or
@@ -261,7 +260,7 @@ def multi_pod_clos(spec: MultiPodSpec | None = None) -> Fabric:
     * NICs / local links: as in :func:`spine_leaf`
 
     Every switch and NIC node carries a ``pod`` attribute for
-    pod-aware placement and shard diagnostics.
+    pod-aware placement.
     """
     spec = spec or MultiPodSpec()
     topo = Topology(spec.name)

@@ -103,6 +103,12 @@ SCALAR_SOLVE_MAX_ENTRIES = 96
 _EMPTY_CHANGED = np.zeros(0, dtype=np.int64)
 
 
+def compaction_due(dead_nnz: int, nnz: int) -> bool:
+    """Whether tombstoned incidence entries (``dead_nnz`` of ``nnz``) are
+    purged, freeing their slots for reuse, at the next solve."""
+    return dead_nnz > 64 and dead_nnz * 2 > nnz
+
+
 class IncrementalFairnessSolver:
     """Persistent weighted max-min solver with O(Δ) structural updates.
 
@@ -185,14 +191,6 @@ class IncrementalFairnessSolver:
         self._pending_delta = 0
         self._solved_once = False
         self._last_override = False
-
-    @property
-    def num_links(self) -> int:
-        return len(self._link_ids)
-
-    def flow_count(self) -> int:
-        """Registered (non-tombstoned) flows."""
-        return len(self._slot_of)
 
     # -- structural updates (all O(Δ)) ---------------------------------
     def add_links(self, capacities: Mapping[str, float]) -> None:
@@ -469,7 +467,7 @@ class IncrementalFairnessSolver:
         self._last_override = override
         self._solved_once = True
         self.solve_epoch += 1
-        if self._dead_nnz > 64 and self._dead_nnz * 2 > self._nnz:
+        if compaction_due(self._dead_nnz, self._nnz):
             self._compact()
         caps = self._caps if capacities is None else capacities
         flat_l = self._flat_links[: self._nnz]
@@ -674,14 +672,6 @@ class IncrementalFairnessSolver:
             lv[g] = levels[si]
             bn[g] = bneck[si]
         return changed
-
-    def level_of_slot(self, slot: int) -> float:
-        """Water level that froze this slot in the most recent solve.
-
-        A slot's rate is exactly ``weight * level``; macro aggregation
-        reconstructs member rates as ``member_weight * level`` (the same
-        IEEE product the per-flow reference computes)."""
-        return float(self._levels[slot])
 
     def level_of(self, flow_id: str) -> float:
         """Water level of a registered flow (0.0 for unknown flows)."""

@@ -13,11 +13,9 @@ bit-identical whenever the aggregated group weight is exact
 (``k * w == w + w + ... + w``; always true for the default weight 1.0
 and for any dyadic weight at realistic fan-outs).
 
-The wrapper is solver-agnostic: the base may be a plain
-:class:`~repro.netsim.fairness.IncrementalFairnessSolver` or a
-:class:`~repro.netsim.sharding.ShardedFairnessSolver` (the engine's
-``macro=True, sharded=True`` composition), as long as it implements the
-shared solve protocol plus ``set_weight`` / ``level_of``.
+This is the engine's only solver path: :class:`~repro.netsim.engine.
+FlowSimulator` always runs ``MacroFlowSolver(IncrementalFairnessSolver)``.
+A flow whose (path, weight, job) is unique is a group of one.
 
 Membership churn (a member joining, leaving, gating, or un-gating)
 resizes the group's weight in place — one O(1) solver delta instead of a
@@ -35,9 +33,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .fairness import IncrementalFairnessSolver, compaction_due
 from .flows import Flow
-
-_group_counter = itertools.count()
 
 
 class _MacroGroup:
@@ -59,8 +56,8 @@ class _MacroGroup:
         "active_ids",
     )
 
-    def __init__(self, template: Flow) -> None:
-        self.flow_id = f"macro{next(_group_counter)}"
+    def __init__(self, template: Flow, flow_id: str) -> None:
+        self.flow_id = flow_id
         self.path = template.path
         self.links = template.links
         self.job_id = template.job_id
@@ -74,26 +71,29 @@ class _MacroGroup:
 class MacroFlowSolver:
     """Engine-facing solver that aggregates flows into macro groups."""
 
-    def __init__(self, base) -> None:
+    def __init__(self, base: IncrementalFairnessSolver) -> None:
         self._base = base
-        # The base's slot table is a plain list mutated in place
-        # (``_slots`` on the sharded wrapper, ``_flows`` on the
-        # incremental solver); indexing it avoids a method call per
-        # changed group in the solve fan-out.
-        self._base_table = getattr(base, "_slots", None)
-        if self._base_table is None:
-            self._base_table = base._flows
+        self._group_ids = itertools.count()
         self._groups: Dict[Tuple, _MacroGroup] = {}
         self._group_of: Dict[str, _MacroGroup] = {}
         # groups with membership/gate churn since the last solve; their
         # member rates are re-derived even if the group's own aggregate
         # rate happens to come back unchanged (level may still move when
-        # the weight moved with it)
-        self._touched: Set[_MacroGroup] = set()
-        # engine-facing member slots
+        # the weight moved with it).  An insertion-ordered dict, not a
+        # set of groups, which would iterate in address order.
+        self._touched: Dict[_MacroGroup, None] = {}
+        # Engine-facing member slots, numbered exactly as the per-flow
+        # IncrementalFairnessSolver numbers its slots: appended, and
+        # reused (highest first) only after a compaction purged removed
+        # members' incidence entries (``compaction_due``).  Changed
+        # slots are reported in ascending order, as the per-flow solve
+        # reports them, so equal-ETA completions break ties exactly as
+        # under per-flow solving, whatever order groups were touched in.
         self._slots: List[Optional[Flow]] = []
         self._slot_of: Dict[str, int] = {}
         self._free_slots: List[int] = []
+        self._nnz = 0
+        self._dead_nnz = 0
         self._member_rate: Dict[str, float] = {}
         self.macro_peak_group_size = 0
 
@@ -116,15 +116,11 @@ class MacroFlowSolver:
 
     @property
     def solves_skipped(self) -> int:
-        return getattr(self._base, "solves_skipped", 0)
+        return self._base.solves_skipped
 
     @property
     def scalar_solves(self) -> int:
-        return getattr(self._base, "scalar_solves", 0)
-
-    @property
-    def solve_epoch(self) -> int:
-        return self._base.solve_epoch
+        return self._base.scalar_solves
 
     @property
     def macro_groups(self) -> int:
@@ -134,17 +130,19 @@ class MacroFlowSolver:
     def macro_members(self) -> int:
         return len(self._group_of)
 
-    @property
-    def domain_count(self) -> int:
-        return getattr(self._base, "domain_count", 1)
-
     # -- group maintenance ---------------------------------------------
-    def _sync_group(self, group: _MacroGroup) -> None:
-        """Push the group's membership state down to the base solver.
+    def _sync_touched(self) -> None:
+        """Push every touched group's membership state down to the base.
 
-        Called once per touched group at solve time, not per membership
-        change — a k-member join burst costs one ``set_weight``, not k.
+        Runs once per solve (and before penalty scaling), not per
+        membership change — a k-member join burst costs one
+        ``set_weight``, not k.  Idempotent: an in-sync group issues no
+        solver delta.
         """
+        for group in self._touched:
+            self._sync_group(group)
+
+    def _sync_group(self, group: _MacroGroup) -> None:
         count = len(group.active_ids)
         if count == 0:
             if group.active:
@@ -160,27 +158,7 @@ class MacroFlowSolver:
             group.active = True
 
     def add_flow(self, flow: Flow) -> None:
-        key = (flow.path, flow.weight, flow.job_id)
-        group = self._groups.get(key)
-        if group is None:
-            group = _MacroGroup(flow)
-            self._groups[key] = group
-            self._base.add_flow(group)
-        group.members[flow.flow_id] = flow
-        if flow.active:
-            group.active_ids.add(flow.flow_id)
-        self._group_of[flow.flow_id] = group
-        self._touched.add(group)
-        if len(group.members) > self.macro_peak_group_size:
-            self.macro_peak_group_size = len(group.members)
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slots[slot] = flow
-        else:
-            slot = len(self._slots)
-            self._slots.append(flow)
-        self._slot_of[flow.flow_id] = slot
-        self._member_rate[flow.flow_id] = 0.0
+        self.add_flows([flow])
 
     def add_flows(self, flows: List[Flow]) -> None:
         """Register a sibling batch sharing one (path, weight, tenant).
@@ -193,7 +171,7 @@ class MacroFlowSolver:
         key = (first.path, first.weight, first.job_id)
         group = self._groups.get(key)
         if group is None:
-            group = _MacroGroup(first)
+            group = _MacroGroup(first, f"macro{next(self._group_ids)}")
             self._groups[key] = group
             self._base.add_flow(group)
         members = group.members
@@ -203,6 +181,7 @@ class MacroFlowSolver:
         slot_of = self._slot_of
         slots = self._slots
         free_slots = self._free_slots
+        self._nnz += len(first.links) * len(flows)
         for flow in flows:
             fid = flow.flow_id
             members[fid] = flow
@@ -217,40 +196,23 @@ class MacroFlowSolver:
                 slots.append(flow)
             slot_of[fid] = slot
             member_rate[fid] = 0.0
-        self._touched.add(group)
+        self._touched[group] = None
         if len(members) > self.macro_peak_group_size:
             self.macro_peak_group_size = len(members)
 
     def remove_flow(self, flow: Flow) -> None:
-        group = self._group_of.pop(flow.flow_id, None)
-        if group is None:
-            return
-        group.members.pop(flow.flow_id, None)
-        group.active_ids.discard(flow.flow_id)
-        self._member_rate.pop(flow.flow_id, None)
-        slot = self._slot_of.pop(flow.flow_id, None)
-        if slot is not None:
-            self._slots[slot] = None
-            self._free_slots.append(slot)
-        if not group.members:
-            self._base.remove_flow(group)
-            del self._groups[(group.path, group.member_weight, group.job_id)]
-            self._touched.discard(group)
-        else:
-            self._touched.add(group)
+        self.remove_flows([flow])
 
     def remove_flows(self, flows: List[Flow]) -> None:
         """Deregister a batch of members (one completion burst).
 
-        Same semantics as per-flow :meth:`remove_flow`; hoisting the
-        bookkeeping lookups matters because a channelized completion
-        removes whole sibling sets at one instant.
+        Hoisting the bookkeeping lookups matters because a channelized
+        completion removes whole sibling sets at one instant.
         """
         group_of = self._group_of
         member_rate = self._member_rate
         slot_of = self._slot_of
         slots = self._slots
-        free_slots = self._free_slots
         touched = self._touched
         for flow in flows:
             fid = flow.flow_id
@@ -263,15 +225,15 @@ class MacroFlowSolver:
             slot = slot_of.pop(fid, None)
             if slot is not None:
                 slots[slot] = None
-                free_slots.append(slot)
+                self._dead_nnz += len(flow.links)
             if not group.members:
                 self._base.remove_flow(group)
                 del self._groups[
                     (group.path, group.member_weight, group.job_id)
                 ]
-                touched.discard(group)
+                touched.pop(group, None)
             else:
-                touched.add(group)
+                touched[group] = None
 
     def set_active(self, flow: Flow, active: bool) -> None:
         group = self._group_of.get(flow.flow_id)
@@ -281,21 +243,22 @@ class MacroFlowSolver:
             group.active_ids.add(flow.flow_id)
         else:
             group.active_ids.discard(flow.flow_id)
-        self._touched.add(group)
+        self._touched[group] = None
 
     def set_capacity(self, link_id: str, capacity: float) -> None:
         self._base.set_capacity(link_id, capacity)
 
-    def scaled_caps(self, penalty: float):
+    def scaled_caps(self, penalty: float) -> np.ndarray:
+        """Penalized capacities from the groups' *current* activity.
+
+        The base solver reads each group's active bit, so deferred
+        membership changes are flushed first; otherwise the first solve
+        after a join would see the penalty of the previous membership.
+        """
+        self._sync_touched()
         return self._base.scaled_caps(penalty)
 
     # -- queries --------------------------------------------------------
-    def flow_count(self) -> int:
-        return len(self._group_of)
-
-    def flow_at(self, slot: int) -> Optional[Flow]:
-        return self._slots[slot]
-
     def bottleneck_of(self, flow_id: str) -> Optional[str]:
         group = self._group_of.get(flow_id)
         if group is None:
@@ -308,10 +271,6 @@ class MacroFlowSolver:
             return None
         return self.bottleneck_of(flow.flow_id)
 
-    def level_of(self, flow_id: str) -> float:
-        group = self._group_of.get(flow_id)
-        return 0.0 if group is None else self._base.level_of(group.flow_id)
-
     def rates_by_id(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         for group in self._groups.values():
@@ -322,9 +281,6 @@ class MacroFlowSolver:
                 else:
                     out[fid] = 0.0
         return out
-
-    def link_loads(self) -> Dict[str, float]:
-        return self._base.link_loads()
 
     def link_utilization(self, min_utilization: float = 0.0) -> Dict[str, float]:
         return self._base.link_utilization(min_utilization)
@@ -341,21 +297,21 @@ class MacroFlowSolver:
         elsewhere and rate-0 reports for freshly gated members.
         """
         base = self._base
-        # Flush deferred membership state: one set_weight/set_active per
-        # touched group, however many members joined/left/gated since the
-        # last solve.
-        for group in self._touched:
-            self._sync_group(group)
+        if compaction_due(self._dead_nnz, self._nnz):
+            self._nnz -= self._dead_nnz
+            self._dead_nnz = 0
+            self._free_slots = [
+                slot for slot, flow in enumerate(self._slots) if flow is None
+            ]
+        self._sync_touched()
         changed_groups, _ = base.solve(capacities)
-        if isinstance(changed_groups, np.ndarray):
-            changed_groups = changed_groups.tolist()
-        pending: Set[_MacroGroup] = self._touched
-        self._touched = set()
-        base_table = self._base_table
-        for gslot in changed_groups:
+        pending = self._touched
+        self._touched = {}
+        base_table = base._flows
+        for gslot in changed_groups.tolist():
             group = base_table[gslot]
             if group is not None:
-                pending.add(group)
+                pending[group] = None
         changed: List[int] = []
         rates: Dict[int, float] = {}
         member_rate = self._member_rate
@@ -372,4 +328,5 @@ class MacroFlowSolver:
                     mslot = slot_of[fid]
                     rates[mslot] = rate
                     changed.append(mslot)
+        changed.sort()
         return changed, rates

@@ -8,8 +8,8 @@ strategy:
 * ``rank_transfers`` aggregates the program's sends per (peer, channel)
   into one flow launch each — the same one-aggregate-flow-per-edge shape
   the built-ins produce — so the communicator's ``FlowProgramCache`` and
-  the netsim engines (reference / macro / sharded) run synthesized
-  schedules through exactly the same path as rings and trees;
+  the netsim engine run synthesized schedules through exactly the same
+  path as rings and trees;
 * ``steps`` reports the program's pipeline step count to the fixed
   latency model;
 * ``run_data`` byte-moves through the numpy interpreter

@@ -4,16 +4,15 @@ The ISSUE acceptance property: on a two-region WAN fabric, *any*
 interleaving of rank joins, graceful leaves, WAN bandwidth drift,
 service crashes and live collectives must leave the communicator able
 to run a byte-exact collective on its final membership, with the
-journal replay-consistent — and the outcome must be identical across
-every netsim engine configuration (reference, macro, sharded,
-macro+sharded).
+journal replay-consistent — with every rate the engine allocates along
+the way equal to the progressive-filling reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.specs import multi_region_cluster
@@ -37,9 +36,10 @@ _op = st.one_of(
 )
 
 
-def _run_interleaving(ops, *, macro, sharded):
-    """Replay one op script; returns (world, epoch, final recv bytes)."""
-    with cluster_engine(macro=macro, sharded=sharded):
+def _run_interleaving(ops):
+    """Replay one op script under the engine oracle; returns (world,
+    final recv bytes)."""
+    with cluster_engine(oracle=True) as observers:
         cluster = multi_region_cluster(RegionSpec())
     deployment = MccsDeployment(cluster, ecmp_seed=0)
     deployment.enable_recovery(
@@ -90,24 +90,23 @@ def _run_interleaving(ops, *, macro, sharded):
     deployment.run()
     assert final.completed
     payload = tuple(bytes(r.view(np.uint8)) for r in recvs)
-    return svc.world, svc.membership_epoch, payload
+    assert observers[0].checks > 0 and observers[0].completions > 0
+    return svc.world, payload
 
 
 @given(ops=st.lists(_op, min_size=1, max_size=6))
+# A grow's drain session still holds the barrier when the crashed
+# service's repair starts: recovery must wait for it, not burn its
+# attempts on "already reconfiguring" and abort the tenant.
+@example(ops=[("grow",), ("crash", 1), ("collective",)])
 @settings(
     max_examples=8,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_any_interleaving_is_byte_exact_across_engine_modes(ops):
-    world, epoch, payload = _run_interleaving(ops, macro=False, sharded=False)
+def test_any_interleaving_is_byte_exact_under_the_engine_oracle(ops):
+    world, payload = _run_interleaving(ops)
     # Undisturbed-run equivalence: the final collective sums exactly.
     expected = np.full(64, 2.0 * world, dtype=np.float32).tobytes()
     assert all(chunk == expected for chunk in payload)
-    for macro, sharded in ((True, False), (False, True), (True, True)):
-        assert _run_interleaving(ops, macro=macro, sharded=sharded) == (
-            world,
-            epoch,
-            payload,
-        )

@@ -10,9 +10,9 @@
   also integrates each flow's rate over time and checks, when the engine
   completes the flow, that the delivered bytes equal its size.
 * :func:`cluster_engine` builds every :class:`~repro.cluster.specs.
-  Cluster` simulator inside its block with the given fast modes and/or
-  the oracle attached, so whole experiments replay through it without a
-  simulator option on any experiment entry point.
+  Cluster` simulator inside its block with the oracle attached, so whole
+  experiments replay through it without a simulator option on any
+  experiment entry point.
 """
 
 from __future__ import annotations
@@ -89,9 +89,7 @@ class OracleObserver(SimObserver):
 
 
 @contextmanager
-def cluster_engine(
-    *, macro: bool = False, sharded: bool = False, oracle: bool = False
-) -> Iterator[List[OracleObserver]]:
+def cluster_engine(*, oracle: bool = False) -> Iterator[List[OracleObserver]]:
     """Build every cluster simulator in the block with these settings.
 
     Yields the list of oracle observers attached so far (empty unless
@@ -101,7 +99,7 @@ def cluster_engine(
     observers: List[OracleObserver] = []
 
     def build(*args, **kwargs) -> FlowSimulator:
-        sim = original(*args, macro=macro, sharded=sharded, **kwargs)
+        sim = original(*args, **kwargs)
         if oracle:
             observers.append(OracleObserver(sim))
             sim.add_observer(observers[-1])

@@ -19,7 +19,7 @@ import repro.core.reconfig
 import repro.core.sync
 import repro.netsim.flows
 import repro.transport.launcher
-from repro.experiments.fig_attribution import run_attribution
+from repro.experiments.fig_attribution import run_attribution, top_interference
 
 _GLOBAL_COUNTERS = [
     (repro.baselines.nccl, "_comm_counter"),
@@ -86,3 +86,15 @@ def test_ffa_empties_the_interference_ledger(grid):
     )
     assert ffa_seconds == 0.0
     assert ecmp_seconds > 0.0
+
+
+def test_top_interference_tie_ignores_ledger_order():
+    """An exact A<->B tie ranks the same whichever pair was recorded
+    first (setup4 ``mccs_noffa`` has one at 0.07247757312 s)."""
+    tie = 0.07247757312
+    forward = {"A": {"B": tie}, "B": {"A": tie}, "C": {"A": 0.01}}
+    backward = {"C": {"A": 0.01}, "B": {"A": tie}, "A": {"B": tie}}
+    assert top_interference(forward) == "A<-B 0.072s"
+    assert top_interference(backward) == "A<-B 0.072s"
+    assert top_interference({"A": {"B": 0.01}, "B": {"A": 0.02}}) == "B<-A 0.020s"
+    assert top_interference({}) == "-"

@@ -188,6 +188,14 @@ def test_interference_penalty_applies_on_shared_links():
     sim.run()
     assert f1.end_time == pytest.approx(2.0)
     assert f2.end_time == pytest.approx(2.0)
+    # Channel fan-out: each job's 4 channels form one macro group, and
+    # the very first solve must already see both groups active (8.0
+    # shared by 8 flows -> 1.0 each -> t=8.0, not 10.0/8 -> t=6.4).
+    sim = FlowSimulator(line_topo(cap=10.0), interference_penalty=0.2)
+    channels = sim.add_flows(8.0, ["a->b"], 4, job_id="jobA")
+    channels += sim.add_flows(8.0, ["a->b"], 4, job_id="jobB")
+    sim.run()
+    assert [f.end_time for f in channels] == [pytest.approx(8.0)] * 8
 
 
 def test_interference_penalty_skips_single_tenant_links():

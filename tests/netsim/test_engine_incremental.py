@@ -1,16 +1,15 @@
-"""The engine against its oracle on real scenarios, and the fast modes.
+"""The engine against its oracle on real scenarios.
 
 :func:`~repro.netsim.fairness.progressive_filling` is the reference: an
 :class:`~tests.engine_oracle.OracleObserver` checks at every rate
 recomputation that each in-network flow's rate equals the reference
 allocation exactly, and at every completion that the flow delivered its
 size.  These tests replay the Figure 7 reconfiguration timeline, a Figure 8
-multi-tenant grid, a link-churn scenario, a deployment failover and a
-reduced Figure 10 timeline (which exercises ``interference_penalty``)
-under that observer; the Figure 7, link-churn and failover tests also
-replay their scenario under macro aggregation plus the sharded solver and
-compare with ``==``.  The datacenter fast modes must reproduce the plain
-engine's results bit-identically.
+multi-tenant grid, a reduced Figure 10 timeline (which exercises
+``interference_penalty``), a Figure 11 replay, a link-churn scenario and a
+deployment failover under that observer.  The engine runs channels that
+share (path, weight, job) as one macro group, so every check also holds
+the aggregation to the per-flow reference.
 """
 
 import itertools
@@ -31,8 +30,8 @@ def _reset_global_counters(monkeypatch):
     """Pin every id counter that feeds ECMP hashing / flow identity.
 
     Experiment runs are deterministic only relative to these counters;
-    resetting them lets two in-process runs (one per engine mode) see
-    byte-identical inputs.
+    resetting them gives each scenario the same inputs whatever ran
+    earlier in the process.
     """
     monkeypatch.setattr(comm_mod, "_comm_counter", itertools.count())
     monkeypatch.setattr(nccl_mod, "_comm_counter", itertools.count())
@@ -65,29 +64,32 @@ def line_topo(cap=8.0):
 def test_fig07_timeline_identical_across_engines(monkeypatch):
     from repro.experiments.fig07_reconfig import run_fig07
 
-    def scenario():
-        timeline = run_fig07(
+    timeline = _run_with_oracle(
+        monkeypatch,
+        lambda: run_fig07(
             op_bytes=64 * 1024 * 1024,
             duration=6.0,
             bg_start=2.0,
             reconfig_at=3.0,
-        )
-        return (
-            [(p.time, p.algbw_gBps) for p in timeline.points],
-            timeline.ring_after,
-            timeline.reconfig_done,
-        )
-
-    reference = _run_with_oracle(monkeypatch, scenario)
-    assert len(reference[0]) > 0
-    assert _run_in_fast_mode(monkeypatch, True, True, scenario) == reference
+        ),
+    )
+    assert len(timeline.points) > 0
 
 
 def test_fig08_grid_identical_across_engines(monkeypatch):
-    """The engine against the oracle; the fast modes replay this grid in
-    ``test_fig08_grid_bit_identical_in_fast_modes``."""
-    grid = _run_with_oracle(monkeypatch, _fig08_speedup_grid)
-    assert len(grid) > 0
+    from repro.experiments.fig08_multi_app import run_fig08
+
+    results = _run_with_oracle(
+        monkeypatch,
+        lambda: run_fig08(
+            setups=("setup1",),
+            trials=1,
+            op_bytes=32 * 1024 * 1024,
+            duration=0.8,
+            warmup=0.2,
+        ),
+    )
+    assert len(results) > 0
 
 
 def test_fig10_interference_timeline_matches_oracle(monkeypatch):
@@ -104,80 +106,16 @@ def test_fig10_interference_timeline_matches_oracle(monkeypatch):
     assert timeline.throughput
 
 
-#: The datacenter fast modes (macro aggregation, sharded solver, both);
-#: each must reproduce the incremental reference *bit-identically* — the
-#: floats below are compared with ``==``, not approx.
-FAST_MODES = [
-    pytest.param(True, False, id="macro"),
-    pytest.param(False, True, id="sharded"),
-    pytest.param(True, True, id="macro+sharded"),
-]
-
-
-def _run_in_fast_mode(monkeypatch, macro, sharded, fn):
-    _reset_global_counters(monkeypatch)
-    with cluster_engine(macro=macro, sharded=sharded):
-        return fn()
-
-
-def _fig08_speedup_grid():
-    from repro.experiments.fig08_multi_app import run_fig08
-
-    results = run_fig08(
-        setups=("setup1",),
-        trials=1,
-        op_bytes=32 * 1024 * 1024,
-        duration=0.8,
-        warmup=0.2,
-    )
-    return [(r.setup, r.system, r.app_id, r.stat.mean) for r in results]
-
-
-def _fig11_speedup_distributions():
+def test_fig11_speedups_match_oracle(monkeypatch):
     from repro.experiments.fig11_simulation import run_fig11
 
-    outcome = run_fig11(
-        placement="random", num_jobs=4, iterations=6, channels=2, seed=0
+    outcome = _run_with_oracle(
+        monkeypatch,
+        lambda: run_fig11(
+            placement="random", num_jobs=4, iterations=6, channels=2, seed=0
+        ),
     )
-    return [(s, tuple(outcome.speedups(s))) for s in ("or", "or+ffa")]
-
-
-_fast_mode_reference_cache = {}
-
-
-def _reference_run(monkeypatch, fn):
-    """Reference (plain incremental) result, computed once per scenario."""
-    if fn not in _fast_mode_reference_cache:
-        _fast_mode_reference_cache[fn] = _run_in_fast_mode(
-            monkeypatch, False, False, fn
-        )
-    return _fast_mode_reference_cache[fn]
-
-
-@pytest.mark.parametrize("macro,sharded", FAST_MODES)
-def test_fig08_grid_bit_identical_in_fast_modes(monkeypatch, macro, sharded):
-    reference = _reference_run(monkeypatch, _fig08_speedup_grid)
-    fast = _run_in_fast_mode(monkeypatch, macro, sharded, _fig08_speedup_grid)
-    assert fast == reference
-
-
-@pytest.mark.parametrize("macro,sharded", FAST_MODES)
-def test_fig11_speedups_bit_identical_in_fast_modes(monkeypatch, macro, sharded):
-    reference = _reference_run(monkeypatch, _fig11_speedup_distributions)
-    fast = _run_in_fast_mode(
-        monkeypatch, macro, sharded, _fig11_speedup_distributions
-    )
-    assert fast == reference
-
-
-@pytest.mark.parametrize("macro", [False, True])
-def test_staggered_sharing_same_in_both_modes(macro):
-    sim = FlowSimulator(line_topo(), macro=macro)
-    f1 = sim.add_flow(8.0, ["a->b"])
-    sim.schedule(0.5, lambda: sim.add_flow(8.0, ["a->b"]))
-    sim.run()
-    assert f1.end_time == pytest.approx(1.5)
-    assert sim.macro is macro
+    assert all(outcome.speedups(s) for s in ("or", "or+ffa"))
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +192,9 @@ def test_perf_counters_incremental():
     assert counters["flows_completed"] == 5
     assert counters["rate_recomputations"] >= 1
     assert counters["solver_full_rebuilds"] == 1  # initial build only
-    assert counters["solver_delta_updates"] == 10  # 5 adds + 5 removals
+    # The 5 same-path flows form one macro group: its add, one weight
+    # resize and one activation for the 5 joins, and one removal.
+    assert counters["solver_delta_updates"] == 4
     assert (
         counters["solver_rebuilds_avoided"]
         == counters["rate_recomputations"] - 1
@@ -287,9 +227,9 @@ def diamond_topo(cap=8.0):
     return topo
 
 
-def _churn_scenario(macro=False, sharded=False):
+def _churn_scenario():
     """Flows through a diamond while one path flaps and one degrades."""
-    sim = FlowSimulator(diamond_topo(), macro=macro, sharded=sharded)
+    sim = FlowSimulator(diamond_topo())
     oracle = OracleObserver(sim)
     sim.add_observer(oracle)
     log = []
@@ -334,23 +274,21 @@ def _churn_scenario(macro=False, sharded=False):
 
 
 def test_link_churn_identical_across_engines():
-    reference = _churn_scenario()
-    assert reference["oracle"] == (reference["rate_recomputations"], 2)
+    outcome = _churn_scenario()
+    assert outcome["oracle"] == (outcome["rate_recomputations"], 2)
     # f1 dies with m1->b at t=0.5 after delivering 4 of its 16 bytes; f2
     # runs at 8 B/s, at 4 B/s from 0.7 to 1.1, then at 8 B/s again; the
     # relaunched flow has the restored path to itself from 0.9.
-    assert reference["f1"] == (True, 12.0, None)
-    assert reference["f2"] == (True, pytest.approx(2.2))
-    assert reference["late"] == [(True, pytest.approx(1.9))]
-    assert [kind for kind, _ in reference["log"]] == ["fail", "done", "done"]
-    assert reference["flows_failed"] == 1
-    assert reference["link_up"]
-    assert _churn_scenario(macro=True, sharded=True) == reference
+    assert outcome["f1"] == (True, 12.0, None)
+    assert outcome["f2"] == (True, pytest.approx(2.2))
+    assert outcome["late"] == [(True, pytest.approx(1.9))]
+    assert [kind for kind, _ in outcome["log"]] == ["fail", "done", "done"]
+    assert outcome["flows_failed"] == 1
+    assert outcome["link_up"]
 
 
 def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
-    """A full deployment-level failover replays identically under the
-    oracle and in the fast modes."""
+    """A full deployment-level failover replays under the oracle."""
     import numpy as np
 
     from repro.cluster.specs import testbed_cluster
@@ -362,7 +300,7 @@ def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
     def scenario():
         cluster = testbed_cluster()
         deployment = MccsDeployment(cluster)
-        recovery = deployment.enable_recovery(
+        deployment.enable_recovery(
             RecoveryPolicy(collective_deadline=0.25), heartbeat_until=1.0
         )
         manager = CentralManager(deployment)
@@ -394,13 +332,7 @@ def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
         deployment.run()
         assert big.completed and small.completed
         assert all(np.allclose(r.view(np.float32), 8.0) for r in recvs)
-        return (
-            big.instance.end_time,
-            small.instance.end_time,
-            big.instance.attempts,
-            tuple((e["time"], e["event"]) for e in recovery.audit),
-        )
+        return big.instance.attempts
 
-    reference = _run_with_oracle(monkeypatch, scenario)
-    assert reference[2] >= 2  # the big collective really was retried
-    assert _run_in_fast_mode(monkeypatch, True, True, scenario) == reference
+    # the big collective really was retried
+    assert _run_with_oracle(monkeypatch, scenario) >= 2

@@ -1,27 +1,27 @@
-"""Exactness and unit coverage of the datacenter-scale fast modes.
+"""Exactness and unit coverage of macro-flow aggregation at scale.
 
-The macro-flow aggregation (:mod:`repro.netsim.macroflow`) and the
-sharded solver (:mod:`repro.netsim.sharding`) are *exact* optimizations:
-every rate and completion time they produce must be bit-identical to the
-per-flow reference engine, not merely close.  The property test here
-drives all four engine configurations (reference, macro, sharded,
-macro+sharded) through the same randomized add / batch-add / cancel /
-gate / link-fail churn on a two-pod Clos fabric and compares the full
-per-flow outcome — start, end, failure — with ``==`` on floats.
+The engine aggregates channels sharing (path, weight, job) into one
+solver slot (:mod:`repro.netsim.macroflow`), an *exact* optimization:
+every member rate must equal the per-flow progressive-filling
+allocation, not merely come close.  The property test here drives the
+engine through randomized add / batch-add / cancel / gate / link-fail /
+bandwidth-drift churn on a two-pod Clos fabric with the oracle observer
+checking ``==`` at every recomputation and every completion.
 
 The unit tests pin the mechanics the property test exercises blindly:
-domain merge/dissolve accounting, the solo-domain fast path, macro group
-lifecycle, the batched ``add_flows`` surface, and the multi-pod fabric /
-profile-harness helpers the scale benchmark builds on.
+macro group lifecycle, a completion order that does not depend on
+object addresses, the batched ``add_flows`` surface, and the multi-pod
+fabric / profile-harness helpers the scale benchmark builds on.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim.engine import FlowSimulator
+from repro.netsim.engine import FlowSimulator, SimObserver
+from repro.netsim.errors import LinkDownError
 from repro.netsim.fabric import MultiPodSpec, multi_pod_clos
+from repro.netsim.macroflow import _MacroGroup
 from repro.netsim.profile import (
     connection_path,
     prepare_scale_workload,
@@ -29,10 +29,11 @@ from repro.netsim.profile import (
     scale_spec,
     synthetic_connections,
 )
+from tests.engine_oracle import OracleObserver
 
 #: Tiny two-pod fabric for churn tests: 2 pods x 2 leaves x 2 hosts x 2
-#: NICs (16 GPUs) — big enough for merges across the core tier, small
-#: enough to rebuild per drive (link failures mutate the topology).
+#: NICs (16 GPUs) — big enough for contention across the core tier,
+#: small enough to rebuild per drive (link failures mutate the topology).
 TINY_SPEC = MultiPodSpec(
     pods=2,
     spines_per_pod=2,
@@ -41,13 +42,6 @@ TINY_SPEC = MultiPodSpec(
     nics_per_host=2,
     core_switches=2,
 )
-
-#: The three fast configurations, each checked against the reference.
-FAST_MODES = [
-    pytest.param(True, False, id="macro"),
-    pytest.param(False, True, id="sharded"),
-    pytest.param(True, True, id="macro+sharded"),
-]
 
 
 def _connection_pool(count=12, inter_pod_fraction=0.4, seed=7):
@@ -75,7 +69,7 @@ _churn_op = st.one_of(
     st.tuples(st.just("fail"), st.integers(0, len(_POOL) - 1)),
     # Live bandwidth drift: resize a link already carrying traffic.  The
     # factors are dyadic so rate arithmetic stays exactly representable
-    # and the cross-mode comparison can keep using ``==`` on floats.
+    # and the oracle comparison can keep using ``==`` on floats.
     st.tuples(
         st.just("bw"),
         st.integers(0, len(_POOL) - 1),
@@ -85,17 +79,13 @@ _churn_op = st.one_of(
 )
 
 
-def _drive(ops, macro, sharded):
-    """Replay one churn script; returns the per-flow outcome summary.
-
-    The summary deliberately excludes ``flow_id`` (the global flow
-    counter differs between runs) and compares floats exactly: creation
-    order is identical across modes, so position identifies the flow.
-    """
+def _drive(ops):
+    """Replay one churn script under the oracle; returns the oracle."""
     fabric = multi_pod_clos(TINY_SPEC)
-    sim = FlowSimulator(fabric.topology, macro=macro, sharded=sharded)
+    sim = FlowSimulator(fabric.topology)
+    oracle = OracleObserver(sim)
+    sim.add_observer(oracle)
     handles = []
-    rejected = []
     for op in ops:
         kind = op[0]
         if kind == "add":
@@ -107,8 +97,8 @@ def _drive(ops, macro, sharded):
                         2e7 * size_k, path, channels, job_id=job, weight=weight
                     )
                 )
-            except Exception as exc:  # path crosses a failed link
-                rejected.append((len(handles), type(exc).__name__))
+            except LinkDownError:  # path crosses a failed link
+                pass
         elif kind == "cancel":
             live = [f for f in handles if f.end_time is None and not f.failed]
             if live:
@@ -119,43 +109,29 @@ def _drive(ops, macro, sharded):
                 victim = live[op[1] % len(live)]
                 sim.gate_flow(victim, not victim.gated)
         elif kind == "fail":
-            link = _POOL[op[1]][0][0]
-            try:
-                sim.fail_link(link)
-            except Exception as exc:
-                rejected.append(("fail", type(exc).__name__))
+            sim.fail_link(_POOL[op[1]][0][0])
         elif kind == "bw":
             link = _POOL[op[1]][0][0]
-            try:
-                sim.set_link_bandwidth(
-                    link, sim.topology.link(link).capacity * op[2]
-                )
-            except Exception as exc:  # link already failed
-                rejected.append(("bw", type(exc).__name__))
+            sim.set_link_bandwidth(link, sim.topology.link(link).capacity * op[2])
         else:  # advance
             sim.run(until=sim.now + op[1])
     sim.run()  # drain whatever can still finish (gated flows stay put)
-    summary = [
-        (f.size, f.weight, f.start_time, f.end_time, f.failed, f.gated)
-        for f in handles
-    ]
-    return summary, rejected, sim.now, sim.flows_completed
+    assert oracle.completions == sim.flows_completed
+    return oracle
 
 
 @given(ops=st.lists(_churn_op, min_size=1, max_size=25))
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_fast_modes_bit_identical_under_churn(ops):
-    reference = _drive(ops, macro=False, sharded=False)
-    for macro, sharded in ((True, False), (False, True), (True, True)):
-        assert _drive(ops, macro, sharded) == reference
+    """Macro aggregation, the engine's fast path, is bit-identical to the
+    per-flow oracle at every recomputation and completion."""
+    oracle = _drive(ops)
+    assert oracle.checks == oracle.sim.rate_recomputations
 
 
-# ----------------------------------------------------------------------
-# sharding mechanics
-# ----------------------------------------------------------------------
-def _sim(macro=False, sharded=False):
+def _sim():
     fabric = multi_pod_clos(TINY_SPEC)
-    return FlowSimulator(fabric.topology, macro=macro, sharded=sharded)
+    return FlowSimulator(fabric.topology)
 
 
 def _pod_local_path(pod, host=0, nic=0, peer_nic=1):
@@ -165,54 +141,11 @@ def _pod_local_path(pod, host=0, nic=0, peer_nic=1):
     )
 
 
-def test_sharded_disjoint_flows_get_separate_domains():
-    sim = _sim(sharded=True)
-    sim.add_flow(1e9, _pod_local_path(0))
-    sim.add_flow(1e9, _pod_local_path(1))
-    sim.run(until=0.01)
-    counters = sim.perf_counters()
-    assert counters["solver_domains"] == 2
-    assert counters["solver_domain_merges"] == 0
-    # Singleton components take the solo fast path: no solver is built.
-    assert counters["solver_solo_solves"] >= 2
-
-
-def test_sharded_spanning_flow_merges_and_dissolves():
-    sim = _sim(sharded=True)
-    sim.add_flow(1e9, _pod_local_path(0))
-    sim.add_flow(1e9, _pod_local_path(1))
-    # An inter-pod flow sharing a NIC uplink with the first flow and a
-    # leaf downlink with the second fuses the two domains.
-    base = TINY_SPEC.hosts_per_pod
-    bridge_path = connection_path(TINY_SPEC, 0, 0, base + 1, 1, spine=0, core=0)
-    sim.add_flow(1e9, bridge_path)
-    sim.run(until=0.01)
-    counters = sim.perf_counters()
-    assert counters["solver_domains"] == 1
-    assert counters["solver_domain_merges"] >= 1
-    assert counters["solver_max_domain_flows"] == 3
-    sim.run()  # all complete; emptied domains dissolve
-    assert sim.perf_counters()["solver_domain_dissolutions"] >= 1
-    assert sim.perf_counters()["solver_domains"] == 0
-
-
-def test_sharded_rates_match_reference_on_shared_link():
-    path = _pod_local_path(0)
-    ref, fast = _sim(), _sim(sharded=True)
-    for sim in (ref, fast):
-        sim.add_flow(1e9, path, weight=0.5)
-        sim.add_flow(1e9, path, weight=2.0)
-        sim.run(until=0.001)
-    ref_rates = sorted(f.rate for f in ref.active_flows())
-    fast_rates = sorted(f.rate for f in fast.active_flows())
-    assert fast_rates == ref_rates  # bit-identical, not approx
-
-
 # ----------------------------------------------------------------------
 # macro-flow mechanics
 # ----------------------------------------------------------------------
 def test_macro_channel_fanout_collapses_to_one_group():
-    sim = _sim(macro=True)
+    sim = _sim()
     path = _pod_local_path(0)
     flows = sim.add_flows(1e9, path, 8, job_id="job0")
     sim.run(until=0.001)
@@ -229,12 +162,73 @@ def test_macro_channel_fanout_collapses_to_one_group():
 
 
 def test_macro_distinct_weights_get_distinct_groups():
-    sim = _sim(macro=True)
+    sim = _sim()
     path = _pod_local_path(0)
     sim.add_flow(1e9, path, weight=1.0)
     sim.add_flow(1e9, path, weight=2.0)
     sim.run(until=0.001)
     assert sim.perf_counters()["macro_groups"] == 2
+
+
+class _CompletionLog(SimObserver):
+    def __init__(self):
+        self.flows = []
+
+    def on_flow_completed(self, flow, now):
+        self.flows.append(flow)
+
+
+def _equal_eta_completion_order():
+    """Creation indices of 32 flows in completion order: 12 jobs x 2
+    channels finish at one instant, 4 more jobs joining at t=0.01 at
+    another, so each instant's order is pure heap tie-breaking."""
+    sim = _sim()
+    path = _pod_local_path(0)
+    flows = []
+    for job in range(12):
+        flows += sim.add_flows(1e9, path, 2, job_id=f"job{job}")
+
+    def late_jobs():
+        for job in range(12, 16):
+            flows.extend(sim.add_flows(1e9, path, 2, job_id=f"job{job}"))
+
+    sim.schedule(0.01, late_jobs)
+    log = _CompletionLog()
+    sim.add_observer(log)
+    sim.run()
+    return [flows.index(flow) for flow in log.flows]
+
+
+def test_macro_completion_order_does_not_depend_on_group_hash(monkeypatch):
+    """Same-ETA completions (and so callback order) follow creation
+    order, not the iteration order of a hash-keyed container of groups
+    — which for objects hashing by address varies between processes."""
+    expected = _equal_eta_completion_order()
+    assert expected == list(range(32))
+    for scramble in (
+        lambda group: -id(group),
+        lambda group: (id(group) * 0x9E3779B97F4A7C15) % (1 << 61),
+    ):
+        monkeypatch.setattr(_MacroGroup, "__hash__", scramble)
+        assert _equal_eta_completion_order() == expected
+
+
+def test_macro_ties_break_like_the_per_flow_solver():
+    """Member slots are numbered as the per-flow solver numbers its
+    slots: once 40 finished flows' 80 incidence entries are compacted,
+    new flows reuse the freed slots highest first, and equal-ETA
+    completions follow slot order — so experiments replay the per-flow
+    engine's completion (and callback) order."""
+    sim = _sim()
+    path = _pod_local_path(0)
+    for job in range(40):
+        sim.add_flow(1e9, path, job_id=f"job{job}")
+    sim.run()
+    late = [sim.add_flow(1e9, path, job_id=f"late{job}") for job in range(8)]
+    log = _CompletionLog()
+    sim.add_observer(log)
+    sim.run()
+    assert [late.index(flow) for flow in log.flows] == list(range(7, -1, -1))
 
 
 def test_add_flows_equivalent_to_repeated_add_flow():
@@ -268,7 +262,7 @@ def test_connection_paths_are_valid_on_the_fabric():
 
 def test_prepare_scale_workload_runs_to_completion():
     fabric = multi_pod_clos(TINY_SPEC)
-    sim = FlowSimulator(fabric.topology, macro=True, sharded=True)
+    sim = FlowSimulator(fabric.topology)
     injected = prepare_scale_workload(
         sim, TINY_SPEC, 64, channels=4, wave_flows=32
     )
@@ -277,12 +271,12 @@ def test_prepare_scale_workload_runs_to_completion():
     assert sim.flows_completed == injected
     counters = sim.perf_counters()
     assert "solver_coalesced_solves" in counters
-    assert "solver_solo_solves" in counters
+    assert counters["macro_members"] == 0  # every group drained
 
 
 def test_run_scale_workload_counts_completions():
     fabric = multi_pod_clos(TINY_SPEC)
-    sim = FlowSimulator(fabric.topology, macro=True, sharded=True)
+    sim = FlowSimulator(fabric.topology)
     assert run_scale_workload(sim, TINY_SPEC, 32, channels=4) >= 32
 
 

@@ -185,18 +185,15 @@ def test_link_loads_and_utilization_reflect_last_solve():
 
 
 # ----------------------------------------------------------------------
-# fast-mode wrappers: macro aggregation / sharded solve are bit-exact
+# macro aggregation is bit-exact
 # ----------------------------------------------------------------------
-#: Fixed path pool: overlapping paths force shared components (and macro
+#: Fixed path pool: overlapping paths force shared links (and macro
 #: groups when (path, weight, job) repeats); ``l3``/``l4->l5`` stay
-#: disjoint so the sharded solver sees independent domains and solo
-#: singletons.
+#: disjoint.
 _PATHS = [("l0", "l1"), ("l1", "l2"), ("l3",), ("l4", "l5"), ("l2", "l3")]
 
 #: Dyadic weights/caps keep every partial sum and product exact, which is
-#: the macro aggregation's exactness condition (``k*w`` representable)
-#: and avoids manufactured near-ties between disjoint components (the
-#: sharded solver's documented 1e-9 freeze-tolerance caveat).
+#: the macro aggregation's exactness condition (``k*w`` representable).
 _DYADIC_WEIGHTS = [0.5, 1.0, 2.0]
 _DYADIC_CAPS = [2.5, 5.0, 10.0, 20.0]
 
@@ -212,19 +209,14 @@ _wrap_op = st.tuples(
 
 def _make_wrapped_solvers(caps):
     from repro.netsim.macroflow import MacroFlowSolver
-    from repro.netsim.sharding import ShardedFairnessSolver
 
-    return {
-        "sharded": ShardedFairnessSolver(dict(caps)),
-        "macro": MacroFlowSolver(IncrementalFairnessSolver(dict(caps))),
-        "macro+sharded": MacroFlowSolver(ShardedFairnessSolver(dict(caps))),
-    }
+    return {"macro": MacroFlowSolver(IncrementalFairnessSolver(dict(caps)))}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ops=st.lists(_wrap_op, min_size=1, max_size=30), data=st.data())
 def test_fast_wrappers_bit_identical_to_reference(ops, data):
-    """Macro/sharded solvers equal the per-flow reference with ``==``.
+    """The macro solver equals the per-flow reference with ``==``.
 
     The same :class:`Flow` objects are registered with the reference
     solver and with every wrapper (solvers never mutate flows), so any
@@ -245,12 +237,10 @@ def test_fast_wrappers_bit_identical_to_reference(ops, data):
                 reference.add_flow(flow)
                 live[flow.flow_id] = flow
             for solver in wrappers.values():
-                batch_add = getattr(solver, "add_flows", None)
-                if batch_add is not None and len(flows) > 1:
-                    batch_add(flows)
+                if len(flows) > 1:
+                    solver.add_flows(flows)
                 else:
-                    for flow in flows:
-                        solver.add_flow(flow)
+                    solver.add_flow(flows[0])
         elif kind == "remove":
             flow = live.pop(data.draw(st.sampled_from(sorted(live))))
             reference.remove_flow(flow)
