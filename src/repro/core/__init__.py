@@ -34,12 +34,13 @@ from .recovery import (
     HeartbeatMonitor,
     RecoveryManager,
     RecoveryPolicy,
+    RetryPolicy,
     fault_kind,
 )
 from .service import FrontendEngine, MccsService
 from .shim import ClientCollective, MccsBuffer, MccsClient, MccsCommunicator
 from .strategy import CollectiveStrategy, default_strategy
-from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceRecord, TraceStore
+from .tracing import CommTrace
 from .transport import TrafficGateManager, WindowSchedule
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "CreateCommunicatorRequest",
     "CreateCommunicatorResponse",
     "DEFAULT_CONTROL_RING_LATENCY",
-    "DEFAULT_TRACE_CAPACITY",
     "DestroyCommunicatorRequest",
     "ElasticCoordinator",
     "ElasticPolicy",
@@ -77,9 +77,8 @@ __all__ = [
     "ReconfigSession",
     "RecoveryManager",
     "RecoveryPolicy",
+    "RetryPolicy",
     "ServiceCommunicator",
-    "TraceRecord",
-    "TraceStore",
     "TrafficGateManager",
     "VersionedDataPath",
     "WindowSchedule",

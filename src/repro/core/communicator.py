@@ -35,6 +35,7 @@ from ..netsim.routing import RouteIdSelector, RouteMap
 from ..telemetry.causal import TraceContext
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.spans import (
+    EVENT_FIRST_FLOW_START,
     EVENT_LAST_FLOW_END,
     EVENT_RANK_LAUNCH,
     Span,
@@ -350,10 +351,8 @@ class CollectiveInstance:
         if self.start_time is None:
             self.start_time = comm.sim.now
             self._enter_network_phase(comm.sim.now)
-            if comm.trace_record:
-                rec = comm.trace.record_for(self.seq)
-                if rec is not None:
-                    rec.start_time = comm.sim.now
+            if self.span is not None:
+                self.span.mark(EVENT_FIRST_FLOW_START, comm.sim.now)
         table, selector = comm.datapath.table_for(strategy, comm.gpus)
         algorithm = get_algorithm(strategy.algorithm)
         program_key = (strategy, self.kind, self.out_bytes, self.root, rank)
@@ -463,10 +462,6 @@ class CollectiveInstance:
         self._live_flows.clear()
         self._pending_flows = 0
         self._close_phases(self.end_time)
-        if comm.trace_record:
-            rec = comm.trace.record_for(self.seq)
-            if rec is not None:
-                rec.end_time = self.end_time
         if self.span is not None and not self.span.finished:
             self.span.mark("aborted", self.end_time, error=str(self.error))
             self.span.finish(self.end_time)
@@ -536,12 +531,7 @@ class CollectiveInstance:
                 for dst, src in zip(self.recv_views, outputs):
                     np.copyto(dst, src.reshape(dst.shape))
         self._close_phases(self.end_time)
-        if comm.trace_record:
-            rec = comm.trace.record_for(self.seq)
-            if rec is not None:
-                rec.end_time = self.end_time
         if self.span is not None and not self.span.finished:
-            # Record already evicted (or tracing off): finish the span here.
             self.span.mark(EVENT_LAST_FLOW_END, self.end_time)
             self.span.finish(self.end_time)
         if comm.telemetry is not None:
@@ -583,7 +573,6 @@ class ServiceCommunicator:
         latency: LatencyModel = MCCS_LATENCY,
         ecmp_seed: int = 0,
         gate=None,
-        trace: Optional[CommTrace] = None,
         strict_consistency: bool = False,
         telemetry: Optional[TelemetryHub] = None,
         datapath_tag: Optional[str] = None,
@@ -627,12 +616,11 @@ class ServiceCommunicator:
         #: Bumped once per committed membership change (grow or shrink);
         #: the journal's ``membership_change`` records carry this value.
         self.membership_epoch = 0
-        self.instances: List[CollectiveInstance] = []
         self.active_instances: Set[int] = set()
         self.inconsistent_collectives = 0
         self.strict_consistency = strict_consistency
-        self.trace = trace if trace is not None else CommTrace(self.comm_id, app_id)
-        self.trace_record = True
+        #: Every issued collective (§4.3 tracing API); see :attr:`instances`.
+        self.trace = CommTrace(self.comm_id, app_id)
         self.telemetry = telemetry
         self.destroyed = False
         #: Set once the communicator is irrecoverably failed; subsequent
@@ -665,6 +653,11 @@ class ServiceCommunicator:
         self.on_commit: Optional[
             Callable[["ServiceCommunicator", CollectiveStrategy], None]
         ] = None
+
+    @property
+    def instances(self) -> List[CollectiveInstance]:
+        """Every issued collective, indexed by ``seq`` (the trace's list)."""
+        return self.trace.instances
 
     # ------------------------------------------------------------------
     def commit_strategy(self, strategy: CollectiveStrategy) -> None:

@@ -250,10 +250,14 @@ class CentralManager:
         gated); by default every other tenant is.
         """
         started = time.perf_counter()
-        traces = self.deployment.traces.traces_of_app(app_id)
+        traces = [
+            comm.trace
+            for comm in self.deployment.communicators()
+            if comm.app_id == app_id
+        ]
         if not traces:
             raise PolicyError(f"no traces for app {app_id!r}")
-        trace = max(traces, key=lambda t: len(t.records))
+        trace = max(traces, key=lambda t: len(t.instances))
         _, schedule = compute_traffic_schedule(trace, guard=guard)
         report = PolicyReport(policy="ts")
         if affected_apps is None:

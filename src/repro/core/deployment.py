@@ -61,7 +61,7 @@ from .proxy import ProxyEngine
 from .reconfig import DEFAULT_CONTROL_RING_LATENCY, ReconfigManager, ReconfigSession
 from .service import MccsService
 from .strategy import CollectiveStrategy, default_strategy
-from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceStore
+from .tracing import CommTrace
 from .transport import TrafficGateManager, WindowSchedule
 
 
@@ -77,7 +77,6 @@ class MccsDeployment:
         ecmp_seed: int = 0,
         control_latency: float = DEFAULT_CONTROL_RING_LATENCY,
         strict_consistency: bool = False,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         telemetry: Optional[TelemetryHub] = None,
     ) -> None:
         if datapath_latency is not None:
@@ -106,7 +105,6 @@ class MccsDeployment:
         for service in self.services.values():
             service.deployment = self
         self.gates = TrafficGateManager(cluster.sim, telemetry=self._telemetry)
-        self.traces = TraceStore(max_records_per_comm=trace_capacity)
         self.reconfig = ReconfigManager(
             cluster.sim, self.proxies_of, telemetry=self._telemetry
         )
@@ -366,7 +364,6 @@ class MccsDeployment:
                 strategy = self.strategy_factory(app_id, gpus, channels)
             else:
                 strategy = default_strategy(len(gpus), channels)
-        trace = None
         comm = ServiceCommunicator(
             self.cluster,
             app_id,
@@ -379,7 +376,6 @@ class MccsDeployment:
             telemetry=self._telemetry,
             datapath_tag=datapath_tag,
         )
-        comm.trace = self.traces.trace_for(comm.comm_id, app_id)
         self.journal.append(
             self.sim.now,
             "create_communicator",
@@ -473,9 +469,6 @@ class MccsDeployment:
                 {"trace": trace_ctx.trace_id} if trace_ctx is not None else {}
             ),
         )
-        comm.trace.record_issue(
-            seq, request.kind, request.out_bytes, self.sim.now, span=span
-        )
         self._telemetry.metrics.counter(
             "mccs_collectives_issued_total",
             "Collectives accepted by the frontend, by app and kind.",
@@ -497,7 +490,7 @@ class MccsDeployment:
             trace = tracer.get(trace_ctx.trace_id)
             if trace is not None:
                 trace.root_span_id = span.span_id
-        comm.instances.append(instance)
+        comm.trace.record_issue(instance)
         comm.active_instances.add(seq)
         instance.attach_span(span)
 
@@ -742,10 +735,8 @@ class MccsDeployment:
         return [comm.describe() for comm in self._comms.values()]
 
     def trace(self, comm_id: int) -> CommTrace:
-        trace = self.traces.get(comm_id)
-        if trace is None:
-            raise CommunicatorError(f"no trace for communicator {comm_id}")
-        return trace
+        """The §4.3 trace of a live communicator: its issued collectives."""
+        return self.communicator(comm_id).trace
 
     def telemetry(self) -> TelemetryHub:
         """Provider-side observability surface: metrics, spans, decision

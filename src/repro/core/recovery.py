@@ -71,6 +71,39 @@ def capped_backoff(
     return delay * (1.0 + jitter * rng.random())
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Capped exponential backoff with jitter for *transient* failures.
+
+    The shim (default, 8 retries) and the service gateway
+    (``RetryPolicy(max_retries=6)``) retry only
+    :class:`ServiceUnavailableError`, a down host service that a
+    supervisor will restart.  Retries are scheduled on the *simulated*
+    clock (collectives are often issued from completion callbacks, so
+    blocking retries are impossible).  Admission sheds are provider
+    decisions and are never retried; the gateway additionally never
+    retries past a request's deadline.
+    """
+
+    max_retries: int = 8
+    backoff_base: float = 0.002
+    backoff_factor: float = 2.0
+    backoff_cap: float = 0.05
+    #: Each delay is multiplied by ``1 + uniform(0, jitter)`` so a fleet
+    #: of retrying tenants does not stampede the restarted service.
+    jitter: float = 0.5
+
+    def delay(self, attempt: int, rng: random.Random) -> float:
+        return capped_backoff(
+            attempt,
+            self.backoff_base,
+            self.backoff_factor,
+            self.backoff_cap,
+            self.jitter,
+            rng,
+        )
+
+
 @dataclass
 class RecoveryPolicy:
     """Knobs of the failure-recovery state machine."""

@@ -176,8 +176,10 @@ def _run_solution(
         reassign_routes()  # rescheduling on job join
 
         def finished(gen: TrafficGenerator, now: float) -> None:
-            trace_records = deployment.trace(state.comm_id).completed_records()
-            comm_time[job.job_id] = sum(r.duration() for r in trace_records)
+            comm_time[job.job_id] = sum(
+                i.duration() for i in deployment.trace(state.comm_id).instances
+                if i.end_time is not None
+            )
             client.destroy_communicator(comm)
             active["count"] -= 1
             reassign_routes()  # rescheduling on job exit

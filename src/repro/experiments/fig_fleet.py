@@ -48,6 +48,7 @@ import numpy as np
 from ..cluster.specs import custom_cluster
 from ..core.admission import AdmissionPolicy
 from ..core.deployment import MccsDeployment
+from ..core.recovery import RetryPolicy
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..netsim.errors import CommunicatorError
@@ -59,7 +60,6 @@ from ..service import (
     FleetLoadGenerator,
     GatewayClient,
     GatewayPolicy,
-    GatewayRetryPolicy,
     ServiceGateway,
     fleet_specs,
 )
@@ -192,7 +192,7 @@ def run_fleet(
         queue_capacity=16,
         max_inflight=4,
         default_deadline=0.12,
-        retry=GatewayRetryPolicy(max_retries=8, backoff_base=0.002, backoff_cap=0.03),
+        retry=RetryPolicy(max_retries=8, backoff_base=0.002, backoff_cap=0.03),
         breaker=BreakerPolicy(
             window=6, min_samples=3, failure_threshold=0.5, cooldown=0.1
         ),

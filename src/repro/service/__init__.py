@@ -40,7 +40,6 @@ from .limits import (
     BrownoutController,
     BrownoutPolicy,
     CircuitBreaker,
-    GatewayRetryPolicy,
     TokenBucket,
 )
 from .loadgen import FleetLoadGenerator, TenantAppSpec, fleet_specs
@@ -67,7 +66,6 @@ __all__ = [
     "GatewayPolicy",
     "GatewayRequest",
     "GatewayResponse",
-    "GatewayRetryPolicy",
     "GatewayTimeoutError",
     "InProcessTransport",
     "InvalidRequestError",

@@ -35,6 +35,7 @@ import numpy as np
 
 from ..collectives.types import Collective, input_bytes
 from ..core.messages import CollectiveRequest, CollectiveResponse
+from ..core.recovery import RetryPolicy
 from ..core.shim import MccsClient
 from ..netsim.errors import (
     AdmissionRejectedError,
@@ -57,7 +58,6 @@ from .limits import (
     BrownoutController,
     BrownoutPolicy,
     CircuitBreaker,
-    GatewayRetryPolicy,
     TokenBucket,
 )
 from .registry import TenantAccount, TenantQuota, TenantRegistry
@@ -146,7 +146,8 @@ class GatewayPolicy:
         queue_capacity: Bound of each QoS class queue.
         max_inflight: Shared dispatch slots (the global bulkhead pool).
         default_deadline: Request deadline when the tenant names none.
-        retry: Backoff for transient dispatch failures.
+        retry: Backoff for transient dispatch failures (6 retries by
+            default, where the shim allows 8).
         breaker: Per-tenant circuit-breaker policy.
         brownout: Load watermarks for graceful shedding.
     """
@@ -154,7 +155,7 @@ class GatewayPolicy:
     queue_capacity: int = 64
     max_inflight: int = 64
     default_deadline: float = 1.0
-    retry: GatewayRetryPolicy = field(default_factory=GatewayRetryPolicy)
+    retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(max_retries=6))
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
 

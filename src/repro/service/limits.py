@@ -9,13 +9,11 @@ cooldown, brownout levels are re-evaluated on queue/inflight changes).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Deque, Optional, Sequence, Tuple
 from collections import deque
 
-from ..core.recovery import capped_backoff
 from ..netsim.errors import PolicyError
 
 
@@ -53,34 +51,6 @@ class TokenBucket:
         if self.tokens >= n:
             return 0.0
         return (n - self.tokens) / self.rate
-
-
-@dataclass(frozen=True)
-class GatewayRetryPolicy:
-    """Capped-exponential backoff for *transient* dispatch failures.
-
-    Only :class:`~repro.errors.ServiceUnavailableError` (a down host
-    service that a supervisor will restart) is retried; typed decisions
-    (admission sheds) and hard errors never are.  Retries always respect
-    the request deadline: an attempt that would land past it surfaces a
-    504 instead.
-    """
-
-    max_retries: int = 6
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-    backoff_cap: float = 0.05
-    jitter: float = 0.5
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        return capped_backoff(
-            attempt,
-            self.backoff_base,
-            self.backoff_factor,
-            self.backoff_cap,
-            self.jitter,
-            rng,
-        )
 
 
 class BreakerState(str, Enum):

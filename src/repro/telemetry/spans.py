@@ -12,9 +12,12 @@ it moves through the proxy and transport layers:
       network                                            [flows draining]
 
 Reconfigurations get their own root span with a ``barrier`` child, so the
-Figure 4 stall is directly visible in a Chrome trace.  The per-collective
-:class:`~repro.core.tracing.TraceRecord` timestamps are *views* over these
-spans — the spans are the source of truth.
+Figure 4 stall is directly visible in a Chrome trace.  A collective's
+root span ends with ``last_flow_end`` when it completes and with
+``aborted`` (carrying the error) when failure handling terminates it.
+The §4.3 trace the TS policy reads is not derived from spans: it is the
+communicator's list of :class:`~repro.core.communicator.CollectiveInstance`
+objects (:class:`~repro.core.tracing.CommTrace`).
 """
 
 from __future__ import annotations

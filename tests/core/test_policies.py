@@ -1,6 +1,7 @@
 """Policy module tests: ring ordering, FFA, PFA, TS (§4.3)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,6 @@ from repro.core.policies.ring_order import (
 )
 from repro.core.policies.ts import analyze_trace, compute_traffic_schedule
 from repro.core.tracing import CommTrace
-from repro.collectives.types import Collective
 from repro.netsim.errors import PolicyError
 
 
@@ -187,9 +187,9 @@ def periodic_trace(busy=1.0, idle=2.0, cycles=5):
     trace = CommTrace(comm_id=1, app_id="B")
     t = 0.0
     for i in range(cycles):
-        rec = trace.record_issue(i, Collective.ALL_REDUCE, 100, t)
-        rec.start_time = t
-        rec.end_time = t + busy
+        trace.record_issue(
+            SimpleNamespace(seq=i, issue_time=t, start_time=t, end_time=t + busy)
+        )
         t += busy + idle
     return trace
 

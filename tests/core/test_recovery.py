@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.units import MB
+from repro.telemetry import EVENT_FIRST_FLOW_START, EVENT_LAST_FLOW_END
 
 
 @pytest.fixture
@@ -72,6 +73,32 @@ def test_link_down_recovers_and_bytes_survive(
     assert metrics.histogram("mccs_recovery_seconds").count(kind="link_down") == 1
 
 
+def test_retried_collective_is_busy_from_final_attempt(
+    cluster, deployment, manager, four_gpus, injector
+):
+    deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    client, comm = _admit(manager, deployment, four_gpus)
+
+    def strike():
+        links = sorted(
+            {l for f in cluster.sim.active_flows() for l in f.links if "spine" in l}
+        )
+        injector.fail_link(links[0])
+
+    cluster.sim.call_in(0.004, strike)
+    op = client.all_reduce(comm, 64 * MB)
+    deployment.run()
+
+    assert op.completed and op.instance.attempts >= 2
+    # The root span keeps every attempt's first flow; the trace reads the
+    # instance, whose start_time is the final attempt's first flow.
+    flow_starts = op.instance.span.event_times(EVENT_FIRST_FLOW_START)
+    assert len(flow_starts) == op.instance.attempts
+    assert op.instance.start_time == flow_starts[-1] > flow_starts[0]
+    busy = deployment.trace(comm.comm_id).busy_intervals()
+    assert busy == [(op.instance.start_time, op.instance.end_time)]
+
+
 def test_recovery_reroutes_around_down_link(
     cluster, deployment, manager, four_gpus, injector
 ):
@@ -115,6 +142,11 @@ def test_attempt_exhaustion_aborts_with_typed_error(
     assert comm_obj.aborted
     assert isinstance(comm_obj.abort_error, CommunicatorError)
     assert op.instance.aborted and not op.completed
+    # The root span ends in the abort (with its error), not a drain.
+    events = [name for name, _t, _attrs in op.instance.span.events]
+    assert events[-1] == "aborted"
+    assert EVENT_LAST_FLOW_END not in events
+    assert op.instance.span.events[-1][2]["error"] == str(op.instance.error)
     assert "recovery_gave_up" in _events(recovery)
     # NIC loss is not a crash: the communicator is not reformed.
     assert comm.comm_id not in recovery.reformed

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.recovery import RecoveryPolicy, fault_kind
-from repro.core.shim import MccsClient, ShimRetryPolicy
+from repro.core.recovery import RetryPolicy
+from repro.core.shim import MccsClient
 from repro.errors import (
     HostCrashedError,
     InvalidBufferError,
@@ -150,7 +151,7 @@ def test_shim_gives_up_typed_when_service_never_returns(
     client = MccsClient(
         deployment,
         "A",
-        retry=ShimRetryPolicy(max_retries=2, backoff_base=0.001),
+        retry=RetryPolicy(max_retries=2, backoff_base=0.001),
     )
     comm = client.adopt_communicator(
         deployment.communicators()[0].comm_id

@@ -1,33 +1,45 @@
 """Tracing, strategy versioning, messages, and sync-bridge tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.gpu import Event, GpuDevice
 from repro.cluster.ipc import IpcRegistry
 from repro.collectives.ring import RingSchedule
 from repro.collectives.types import Collective
+from repro.core.communicator import CollectiveInstance
 from repro.core.messages import CommandQueue, AllocateRequest
 from repro.core.strategy import CollectiveStrategy, default_strategy
 from repro.core.sync import bridge_wait, export_snapshot, snapshot_event
-from repro.core.tracing import CommTrace, TraceStore
+from repro.core.tracing import CommTrace
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.topology import Topology
 
 
 # -- tracing ------------------------------------------------------------------
+def issued(seq, issue, start=None, end=None):
+    """An instance-like record: the trace reads only these fields."""
+    return SimpleNamespace(seq=seq, issue_time=issue, start_time=start, end_time=end)
+
+
 def make_trace(spans):
     """spans: list of (issue, start, end)."""
     trace = CommTrace(comm_id=1, app_id="a")
     for i, (issue, start, end) in enumerate(spans):
-        rec = trace.record_issue(i, Collective.ALL_REDUCE, 100, issue)
-        rec.start_time = start
-        rec.end_time = end
+        trace.record_issue(issued(i, issue, start, end))
     return trace
 
 
 def test_busy_intervals_merge_overlaps():
     trace = make_trace([(0.0, 0.0, 1.0), (0.5, 0.5, 2.0), (3.0, 3.0, 4.0)])
     assert trace.busy_intervals() == [(0.0, 2.0), (3.0, 4.0)]
+
+
+def test_busy_intervals_skip_inflight_and_fall_back_to_issue():
+    # seq 1 never reached the network (zero-byte), seq 2 is still in flight.
+    trace = make_trace([(0.0, 0.5, 1.0), (2.0, None, 2.5), (3.0, 3.2, None)])
+    assert trace.busy_intervals() == [(0.5, 1.0), (2.0, 2.5)]
 
 
 def test_idle_intervals_are_gaps():
@@ -53,21 +65,22 @@ def test_communication_period_needs_signal():
 
 
 def test_duration_requires_completion():
-    trace = CommTrace(comm_id=1, app_id="a")
-    rec = trace.record_issue(0, Collective.ALL_REDUCE, 10, 0.0)
+    instance = CollectiveInstance(
+        comm=None, seq=0, kind=Collective.ALL_REDUCE, out_bytes=10
+    )
     with pytest.raises(ValueError):
-        rec.duration()
+        instance.duration()
+    instance.end_time = 2.0
+    assert instance.duration() == 2.0
 
 
-def test_trace_store_per_app():
-    store = TraceStore()
-    store.trace_for(1, "a")
-    store.trace_for(2, "a")
-    store.trace_for(3, "b")
-    assert len(store.traces_of_app("a")) == 2
-    assert store.get(3).app_id == "b"
-    assert store.get(99) is None
-    assert len(store.all()) == 3
+def test_trace_keeps_every_issued_record_in_seq_order():
+    records = [issued(i, float(i)) for i in range(5000)]
+    trace = CommTrace(comm_id=1, app_id="a")
+    for record in records:
+        trace.record_issue(record)
+    assert trace.instances == records
+    assert trace.instances[4321] is records[4321]
 
 
 # -- strategy -------------------------------------------------------------------

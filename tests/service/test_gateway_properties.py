@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.specs import testbed_cluster
 from repro.core.deployment import MccsDeployment
+from repro.core.recovery import RetryPolicy
 from repro.errors import CommunicatorError
 from repro.service import (
     BreakerPolicy,
     BrownoutPolicy,
     GatewayClient,
     GatewayPolicy,
-    GatewayRetryPolicy,
     InProcessTransport,
     ServiceGateway,
     TenantQuota,
@@ -48,7 +48,7 @@ def _build():
             queue_capacity=4,
             max_inflight=2,
             default_deadline=0.08,
-            retry=GatewayRetryPolicy(max_retries=2, backoff_base=0.001,
+            retry=RetryPolicy(max_retries=2, backoff_base=0.001,
                                      backoff_cap=0.004),
             breaker=BreakerPolicy(window=4, min_samples=2, cooldown=0.05),
             brownout=BrownoutPolicy(watermarks=(0.5, 0.9), hysteresis=0.1),

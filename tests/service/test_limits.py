@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.recovery import RetryPolicy
 from repro.errors import PolicyError
 from repro.service import (
     BreakerPolicy,
@@ -11,7 +12,6 @@ from repro.service import (
     BrownoutController,
     BrownoutPolicy,
     CircuitBreaker,
-    GatewayRetryPolicy,
     TokenBucket,
 )
 
@@ -49,7 +49,7 @@ def test_bucket_rejects_bad_policy():
 
 # -- retry policy -------------------------------------------------------------
 def test_retry_backoff_is_capped():
-    policy = GatewayRetryPolicy(
+    policy = RetryPolicy(
         backoff_base=0.01, backoff_factor=2.0, backoff_cap=0.05, jitter=0.0
     )
     rng = random.Random(0)
@@ -61,7 +61,7 @@ def test_retry_backoff_is_capped():
 
 
 def test_retry_jitter_stays_bounded():
-    policy = GatewayRetryPolicy(backoff_base=0.01, jitter=0.5)
+    policy = RetryPolicy(backoff_base=0.01, jitter=0.5)
     rng = random.Random(7)
     for attempt in range(4):
         base = min(0.01 * 2.0**attempt, policy.backoff_cap)
@@ -69,22 +69,20 @@ def test_retry_jitter_stays_bounded():
         assert base <= d <= base * 1.5
 
 
-def test_shim_and_gateway_back_off_identically():
-    """One capped-exponential backoff: the shim's and the gateway's retry
-    policies give the same delays for the same rng draws, and recovery's
-    un-jittered backoff is the same curve."""
+def test_shim_and_gateway_retry_defaults():
+    """One RetryPolicy: the shim allows 8 retries, the gateway 6, on the
+    same capped-exponential curve recovery also uses (un-jittered)."""
+    from repro.cluster.specs import testbed_cluster
+    from repro.core.deployment import MccsDeployment
     from repro.core.recovery import RecoveryPolicy, capped_backoff
-    from repro.core.shim import ShimRetryPolicy
+    from repro.service import GatewayPolicy
 
-    shim, gateway = ShimRetryPolicy(), GatewayRetryPolicy()
-    shim_rng, gateway_rng = random.Random(42), random.Random(42)
-    check_rng = random.Random(42)
-    for attempt in range(10):
-        expected = min(0.002 * 2.0**attempt, 0.05) * (
-            1.0 + 0.5 * check_rng.random()
-        )
-        assert shim.delay(attempt, shim_rng) == expected
-        assert gateway.delay(attempt, gateway_rng) == expected
+    shim = MccsDeployment(testbed_cluster()).connect("A").retry
+    assert shim == RetryPolicy() == RetryPolicy(
+        max_retries=8, backoff_base=0.002, backoff_factor=2.0,
+        backoff_cap=0.05, jitter=0.5,
+    )
+    assert GatewayPolicy().retry == RetryPolicy(max_retries=6)
     recovery = RecoveryPolicy()
     for attempt in range(10):
         assert capped_backoff(

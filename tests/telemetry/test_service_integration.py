@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.specs import testbed_cluster
 from repro.core.deployment import MccsDeployment
+from repro.errors import CommunicatorError
 from repro.netsim.units import MB
 from repro.telemetry import (
     EVENT_BARRIER_RESOLVED,
@@ -127,35 +128,14 @@ def test_reconfig_barrier_span_integrity():
     assert metrics.histograms()["mccs_proxy_hold_seconds"].count() == 3
 
 
-def test_trace_record_duration_split():
-    """total = queue delay + network time, re-derived from the span."""
+def test_trace_of_destroyed_communicator_raises():
     cluster, deployment, comm, client, handle = make_env()
-    client.all_reduce(handle, 8 * MB)
-    op = client.all_reduce(handle, 8 * MB)  # queues behind the first
+    client.all_reduce(handle, 1 * MB)
     deployment.run()
-    rec = comm.trace.record_for(op.instance.seq)
-    assert rec.span is not None
-    assert rec.completed
-    assert rec.total_duration() == pytest.approx(rec.duration())
-    assert rec.network_duration() > 0
-    assert rec.queue_delay() > 0  # it waited for the first collective
-    assert rec.total_duration() == pytest.approx(
-        rec.queue_delay() + rec.network_duration()
-    )
-
-
-def test_comm_trace_is_bounded():
-    cluster, deployment, comm, client, handle = make_env(trace_capacity=4)
-    ops = [client.all_reduce(handle, 1 * MB) for _ in range(7)]
-    deployment.run()
-    trace = deployment.trace(comm.comm_id)
-    assert all(op.completed for op in ops)
-    assert trace.max_records == 4
-    assert len(trace.records) == 4
-    assert trace.evicted == 3
-    assert [r.seq for r in trace.records] == [3, 4, 5, 6]
-    assert trace.record_for(0) is None
-    assert trace.record_for(6) is not None
+    assert len(deployment.trace(comm.comm_id).instances) == 1
+    client.destroy_communicator(handle)
+    with pytest.raises(CommunicatorError):
+        deployment.trace(comm.comm_id)
 
 
 def test_deployment_accepts_external_hub():

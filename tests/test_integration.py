@@ -147,7 +147,7 @@ def test_many_small_collectives_drain():
     ends = [op.end_time for op in ops]
     assert ends == sorted(ends)
     trace = dep.trace(comm.comm_id)
-    assert len(trace.records) == 200
+    assert len(trace.instances) == 200
 
 
 def test_public_api_surface():

@@ -50,7 +50,7 @@ def test_replay_through_mccs():
     gen.start()
     deployment.run()
     assert gen.stats.finished
-    assert len(deployment.trace(state.comm_id).records) == trace.collective_count()
+    assert len(deployment.trace(state.comm_id).instances) == trace.collective_count()
 
 
 def test_jct_accounts_compute_and_comm():
