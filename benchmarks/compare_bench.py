@@ -22,7 +22,9 @@ Guarded files:
   ``speedup`` on the WAN fabric;
 * ``BENCH_gateway.json`` — service-gateway request throughput and the
   fleet-scenario wall-clock rate (``requests_per_sec`` in both the
-  ``gateway`` and ``fleet`` sections).
+  ``gateway`` and ``fleet`` sections);
+* ``BENCH_dataplane.json`` — host GB/s of the in-place collective data
+  planes (``GBps`` in the ``dataplane`` section).
 
 Only keys present in *both* files are compared, so adding or renaming
 benchmark points never trips the guard; a point that got slower does.
@@ -44,6 +46,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_netsim.json"
 SYNTH_PATH = REPO_ROOT / "BENCH_synth.json"
 GATEWAY_PATH = REPO_ROOT / "BENCH_gateway.json"
+DATAPLANE_PATH = REPO_ROOT / "BENCH_dataplane.json"
 
 #: Sections of BENCH_netsim.json holding throughput points.
 THROUGHPUT_SECTIONS = ("event_loop", "scale_curve")
@@ -68,6 +71,7 @@ GUARDS = (
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(GATEWAY_PATH, ("gateway", "fleet"), "requests_per_sec"),
+    Guard(DATAPLANE_PATH, ("dataplane",), "GBps"),
 )
 
 

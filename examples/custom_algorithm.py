@@ -15,6 +15,8 @@ changes and never learns which algorithm ran.
 Run:  python examples/custom_algorithm.py
 """
 
+import numpy as np
+
 from repro import CentralManager, MccsDeployment, RingSchedule, testbed_cluster
 from repro.collectives.types import Collective, ReduceOp, reduce_many
 from repro.core.algorithms import (
@@ -58,9 +60,17 @@ class HierarchicalAllReduce(CollectiveAlgorithm):
     def steps(self, kind, world):
         return 2 + world // 2  # up, leader ring, down
 
-    def run_data(self, ctx, inputs, op):
-        total = reduce_many(op, list(inputs))
-        return [total.copy() for _ in range(ctx.world)]
+    def run_data(self, ctx, inputs, outputs, op):
+        # The data plane writes every rank's result into the caller's
+        # ``outputs`` (the tenant's receive buffers) and returns nothing.
+        if ctx.kind is not Collective.ALL_REDUCE:
+            return RingAlgorithm().run_data(ctx, inputs, outputs, op)
+        # Fold into rank 0's output, then fan it out.  An output may be
+        # its own rank's input (in-place AllReduce); every input is read
+        # before any other rank's output is written, so that is safe.
+        total = reduce_many(op, list(inputs), out=outputs[0])
+        for out in outputs[1:]:
+            out[:] = total
 
 def main() -> None:
     register_algorithm(HierarchicalAllReduce(), replace=True)
@@ -83,6 +93,17 @@ def main() -> None:
         deployment.run()
         print(f"{label:>14}: 128MB AllReduce in {done[0] * 1e3:6.2f} ms "
               f"({128 * MB / done[0] / 1e9:5.2f} GB/s)")
+
+    # Real bytes: the tenant's receive buffers hold the sum afterwards.
+    kb = 4096
+    sends = [client.alloc(g, kb) for g in gpus]
+    recvs = [client.alloc(g, kb) for g in gpus]
+    for rank, buf in enumerate(sends):
+        buf.view(np.float32)[:] = rank
+    client.all_reduce(comm, kb, send=sends, recv=recvs)
+    deployment.run()
+    assert all((r.view(np.float32) == sum(range(len(gpus)))).all() for r in recvs)
+    print(f"hierarchical AllReduce of {kb} B into the receive buffers: exact")
 
     measure("hierarchical")
     # The provider reconfigures the live communicator to plain rings...

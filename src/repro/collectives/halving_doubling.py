@@ -21,10 +21,11 @@ rings otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .buffers import output_buffers
 from .chunking import chunk_bounds
 from .types import ReduceOp, validate_world
 
@@ -95,8 +96,20 @@ class HalvingDoublingDataPlane:
         self.edge_bytes[key] = self.edge_bytes.get(key, 0) + payload.nbytes
 
     def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
+        self,
+        inputs: Sequence[np.ndarray],
+        op: ReduceOp = ReduceOp.SUM,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
+        """Butterfly AllReduce, in place on the outputs (``out=``).
+
+        Partners exchange disjoint halves, so each step reduces (then, in
+        the doubling phase, copies) the sender's half straight into the
+        receiver's output.  The first halving step reads both operands
+        from the inputs; every later step works on partials already in
+        the outputs.  See :mod:`repro.collectives.buffers` for the output
+        and aliasing rules.
+        """
         n = self.world
         if len(inputs) != n:
             raise ValueError("one input per rank required")
@@ -105,24 +118,23 @@ class HalvingDoublingDataPlane:
             if arr.shape != first.shape or arr.dtype != first.dtype:
                 raise ValueError("all rank buffers must match in shape and dtype")
         order = self.order
-        shape = first.shape
         bounds = chunk_bounds(first.size, n)
+        ins, outs, result = output_buffers(inputs, out, first.size, shaped=True)
 
         def eslice(block_lo: int, block_hi: int) -> slice:
             if block_lo >= block_hi:
                 return slice(0, 0)
             return slice(bounds[block_lo][0], bounds[block_hi - 1][1])
 
-        work = [inputs[r].copy().ravel() for r in range(n)]
         # block-range (in chunk units) currently being reduced by each
         # virtual rank; halving narrows it to one block, doubling re-grows
         # it to the full vector.
         ranges: List[Tuple[int, int]] = [(0, n)] * n
 
         # -- ReduceScatter: recursive halving --------------------------------
+        held = ins
         mask = n >> 1
         while mask:
-            staged: List[Tuple[int, Tuple[int, int], np.ndarray]] = []
             next_ranges = list(ranges)
             for v in range(n):
                 p = v ^ mask
@@ -132,32 +144,29 @@ class HalvingDoublingDataPlane:
                     keep, send = (mid, hi), (lo, mid)
                 else:
                     keep, send = (lo, mid), (mid, hi)
-                payload = work[order[v]][eslice(*send)].copy()
+                sl = eslice(*send)
+                payload = held[order[v]][sl]
                 self._send(order[v], order[p], payload)
-                staged.append((order[p], send, payload))
+                op.combine(held[order[p]][sl], payload, out=outs[order[p]][sl])
                 next_ranges[v] = keep
-            for dst_rank, (blo, bhi), payload in staged:
-                target = work[dst_rank][eslice(blo, bhi)]
-                target[:] = op.combine(target, payload)
             ranges = next_ranges
+            held = outs
             mask >>= 1
 
         # -- AllGather: recursive doubling -----------------------------------
         mask = 1
         while mask < n:
-            staged = []
             next_ranges = list(ranges)
             for v in range(n):
                 p = v ^ mask
                 lo, hi = ranges[v]
-                payload = work[order[v]][eslice(lo, hi)].copy()
+                sl = eslice(lo, hi)
+                payload = outs[order[v]][sl]
                 self._send(order[v], order[p], payload)
-                staged.append((order[p], (lo, hi), payload))
+                outs[order[p]][sl] = payload
                 plo, phi = ranges[p]
                 next_ranges[v] = (min(lo, plo), max(hi, phi))
-            for dst_rank, (blo, bhi), payload in staged:
-                work[dst_rank][eslice(blo, bhi)] = payload
             ranges = next_ranges
             mask <<= 1
 
-        return [w.reshape(shape) for w in work]
+        return result

@@ -3,9 +3,13 @@
 This is the oracle the shared algorithm suite
 (``tests/collectives/test_algorithm_reference.py``) holds every
 registered algorithm — built-in or synthesized — against: whatever
-schedule an algorithm runs, its ``run_data`` must produce exactly these
-outputs.  Conventions match the registry data planes
-(:class:`~repro.collectives.ring.RingDataPlane` et al.):
+schedule an algorithm runs, ``run_data(ctx, inputs, outputs, op)`` must
+leave exactly these values in the caller's ``outputs``, writing every
+element (the suite pre-poisons them), whether the outputs are fresh
+arrays, offset or strided views into a larger buffer, or views that
+alias the inputs (NCCL's in-place layouts, see
+:mod:`repro.collectives.buffers`).  Conventions match the registry data
+planes (:class:`~repro.collectives.ring.RingDataPlane` et al.):
 
 * ``ALL_REDUCE`` — every rank gets the elementwise reduction;
 * ``ALL_GATHER`` — every rank gets the concatenation, block ``r`` being

@@ -17,10 +17,11 @@ paper notes are straightforward extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .buffers import output_buffers
 from .chunking import chunk_bounds
 from .types import Collective, ReduceOp, validate_world
 
@@ -135,6 +136,13 @@ class RingDataPlane:
     The executor is deliberately written as a sequence of neighbour-only
     transfers (no global shortcuts) so that the byte counts it records are
     a genuine check of :func:`edge_traffic`.
+
+    Every collective runs in place on the per-rank output buffers
+    (``out=``; allocated when ``None``): a transfer reduces or copies the
+    sender's chunk straight into the receiver's output chunk.  Within one
+    ring step no rank's receive chunk is any rank's send chunk, so no
+    transfer needs a staging copy.  See :mod:`repro.collectives.buffers`
+    for the output and aliasing rules.
     """
 
     def __init__(self, schedule: RingSchedule) -> None:
@@ -149,8 +157,9 @@ class RingDataPlane:
         self.edge_bytes[src_pos] += payload.nbytes
         return (src_pos + 1) % self.world
 
-    @staticmethod
-    def _check_uniform(arrays: Sequence[np.ndarray]) -> None:
+    def _check_uniform(self, arrays: Sequence[np.ndarray]) -> None:
+        if len(arrays) != self.world:
+            raise ValueError("one input per rank required")
         first = arrays[0]
         for arr in arrays[1:]:
             if arr.shape != first.shape or arr.dtype != first.dtype:
@@ -158,160 +167,141 @@ class RingDataPlane:
 
     # -- collectives -------------------------------------------------------
     def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
+        self,
+        inputs: Sequence[np.ndarray],
+        op: ReduceOp = ReduceOp.SUM,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         """Ring AllReduce: reduce-scatter phase then allgather phase."""
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
         self._check_uniform(inputs)
         n = self.world
         order = self.schedule.order
-        work = [inputs[r].copy() for r in range(n)]  # indexed by rank
-        bounds = chunk_bounds(inputs[0].size, n)
-
-        def chunk(rank: int, c: int) -> np.ndarray:
-            lo, hi = bounds[c]
-            return work[rank][lo:hi]
-
+        size = inputs[0].size
+        ins, outs, result = output_buffers(inputs, out, size, shaped=True)
+        bounds = chunk_bounds(size, n)
         # Reduce-scatter: after step s = n-2, position p holds the fully
-        # reduced ring-chunk (p+1) mod n.
+        # reduced ring-chunk (p+1) mod n.  The chunk a position receives
+        # at step s is still its raw input, and the chunk it sends is the
+        # partial it received at step s-1 (its raw input at step 0).
         for s in range(n - 1):
-            staged: List[Tuple[int, int, np.ndarray]] = []
+            held = ins if s == 0 else outs
             for p in range(n):
-                c = (p - s) % n
-                payload = chunk(order[p], c).copy()
-                dst = self._send(p, payload)
-                staged.append((order[dst], c, payload))
-            for dst_rank, c, payload in staged:
-                lo, hi = bounds[c]
-                work[dst_rank][lo:hi] = op.combine(work[dst_rank][lo:hi], payload)
+                lo, hi = bounds[(p - s) % n]
+                payload = held[order[p]][lo:hi]
+                dst = order[self._send(p, payload)]
+                op.combine(ins[dst][lo:hi], payload, out=outs[dst][lo:hi])
         # AllGather: position p starts by sending its reduced chunk (p+1).
         for s in range(n - 1):
-            staged = []
             for p in range(n):
-                c = (p + 1 - s) % n
-                payload = chunk(order[p], c).copy()
-                dst = self._send(p, payload)
-                staged.append((order[dst], c, payload))
-            for dst_rank, c, payload in staged:
-                lo, hi = bounds[c]
-                work[dst_rank][lo:hi] = payload
-        return work
+                lo, hi = bounds[(p + 1 - s) % n]
+                payload = outs[order[p]][lo:hi]
+                outs[order[self._send(p, payload)]][lo:hi] = payload
+        return result
 
-    def all_gather(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def all_gather(
+        self,
+        inputs: Sequence[np.ndarray],
+        out: Optional[Sequence[np.ndarray]] = None,
+    ) -> List[np.ndarray]:
         """Ring AllGather; output block ``r`` holds rank ``r``'s input."""
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
         self._check_uniform(inputs)
         n = self.world
         order = self.schedule.order
         block = inputs[0].size
-        outputs = [
-            np.empty(block * n, dtype=inputs[0].dtype) for _ in range(n)
-        ]
-
-        def store(rank: int, owner_rank: int, payload: np.ndarray) -> None:
-            outputs[rank][owner_rank * block : (owner_rank + 1) * block] = payload
-
-        for p in range(n):
-            store(order[p], order[p], inputs[order[p]].ravel())
+        ins, outs, result = output_buffers(inputs, out, block * n, shaped=False)
+        for r in range(n):
+            outs[r][r * block : (r + 1) * block] = ins[r]
         # At step s, position p forwards the block originated by the rank
         # at position (p - s) mod n.
         for s in range(n - 1):
-            staged: List[Tuple[int, int, np.ndarray]] = []
             for p in range(n):
                 owner = order[(p - s) % n]
-                payload = outputs[order[p]][
-                    owner * block : (owner + 1) * block
-                ].copy()
-                dst = self._send(p, payload)
-                staged.append((order[dst], owner, payload))
-            for dst_rank, owner, payload in staged:
-                store(dst_rank, owner, payload)
-        return outputs
+                lo = owner * block
+                payload = outs[order[p]][lo : lo + block]
+                outs[order[self._send(p, payload)]][lo : lo + block] = payload
+        return result
 
     def reduce_scatter(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
+        self,
+        inputs: Sequence[np.ndarray],
+        op: ReduceOp = ReduceOp.SUM,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         """Ring ReduceScatter; rank ``r`` outputs reduced block ``r``.
 
         Inputs must have size divisible by ``world``; block ``r`` of each
         input contributes to rank ``r``'s output.
         """
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
         self._check_uniform(inputs)
         n = self.world
         order = self.schedule.order
         if inputs[0].size % n:
             raise ValueError("input size must be divisible by world")
         block = inputs[0].size // n
-        work = [inputs[r].copy().ravel() for r in range(n)]
-
-        def ring_chunk(rank: int, c: int) -> np.ndarray:
-            # ring-chunk c holds the user block of the rank at position c,
-            # so the final chunk each position keeps is its own rank's.
-            owner = order[c]
-            return work[rank][owner * block : (owner + 1) * block]
-
-        # Shifted schedule: send ring-chunk (p - s - 1); after n-1 steps
-        # position p holds its fully reduced ring-chunk p.
+        ins, outs, result = output_buffers(inputs, out, block, shaped=False)
+        # Ring-chunk c holds the user block of the rank at position c, so
+        # the final chunk each position keeps is its own rank's.  Shifted
+        # schedule: position p sends ring-chunk (p - s - 1); the chunk's
+        # partial starts at position c+1 and reaches position c after n-1
+        # steps.  Only one partial of each chunk is live at a time, so it
+        # accumulates in its final owner's output from the first hop on.
         for s in range(n - 1):
-            staged: List[Tuple[int, int, np.ndarray]] = []
             for p in range(n):
-                c = (p - s - 1) % n
-                payload = ring_chunk(order[p], c).copy()
-                dst = self._send(p, payload)
-                staged.append((dst, c, payload))
-            for dst_pos, c, payload in staged:
-                target = ring_chunk(order[dst_pos], c)
-                target[:] = op.combine(target, payload)
-        return [work[r][r * block : (r + 1) * block].copy() for r in range(n)]
+                owner = order[(p - s - 1) % n]
+                lo = owner * block
+                payload = ins[order[p]][lo : lo + block] if s == 0 else outs[owner]
+                dst = order[self._send(p, payload)]
+                op.combine(ins[dst][lo : lo + block], payload, out=outs[owner])
+        return result
 
-    def broadcast(self, inputs: Sequence[np.ndarray], root: int) -> List[np.ndarray]:
+    def broadcast(
+        self,
+        inputs: Sequence[np.ndarray],
+        root: int,
+        out: Optional[Sequence[np.ndarray]] = None,
+    ) -> List[np.ndarray]:
         """Pipelined ring broadcast from ``root``."""
-        if len(inputs) != self.world:
-            raise ValueError("one buffer per rank required")
         self._check_uniform(inputs)
         n = self.world
         order = self.schedule.order
-        outputs = [inputs[r].copy() for r in range(n)]
+        ins, outs, result = output_buffers(inputs, out, inputs[0].size, shaped=True)
         p = self.schedule.position_of(root)
-        payload = inputs[root].copy()
+        outs[root][:] = ins[root]
         for _ in range(n - 1):
-            dst = self._send(p, payload)
-            outputs[order[dst]] = payload.copy()
-            p = dst
-        return outputs
+            payload = outs[order[p]]
+            p = self._send(p, payload)
+            outs[order[p]][:] = payload
+        return result
 
     def reduce(
         self,
         inputs: Sequence[np.ndarray],
         root: int,
         op: ReduceOp = ReduceOp.SUM,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         """Pipelined ring reduce toward ``root``.
 
-        Non-root outputs are returned unchanged (NCCL leaves recvbuff of
-        non-roots unspecified; we keep the input for determinism).
+        Non-root outputs are their inputs unchanged (NCCL leaves recvbuff
+        of non-roots unspecified; we keep the input for determinism).
         """
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
         self._check_uniform(inputs)
         n = self.world
         order = self.schedule.order
+        ins, outs, result = output_buffers(inputs, out, inputs[0].size, shaped=True)
         root_pos = self.schedule.position_of(root)
         # Accumulate around the ring ending at root: start at the position
-        # after root, walk forward reducing as we go.
+        # after root, walk forward reducing as we go.  The single running
+        # partial lives in the root's output.
         p = (root_pos + 1) % n
-        acc = inputs[order[p]].copy()
+        acc = ins[order[p]]
         for _ in range(n - 1):
-            dst = self._send(p, acc)
-            acc = op.combine(inputs[order[dst]], acc)
-            p = dst
-        outputs = [inputs[r].copy() for r in range(n)]
-        outputs[root] = acc
-        return outputs
+            p = self._send(p, acc)
+            acc = op.combine(ins[order[p]], acc, out=outs[root])
+        for r in range(n):
+            if r != root:
+                outs[r][:] = ins[r]
+        return result
 
     def run(
         self,
@@ -320,16 +310,17 @@ class RingDataPlane:
         *,
         op: ReduceOp = ReduceOp.SUM,
         root: int = 0,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
-        """Dispatch by collective kind."""
+        """Dispatch by collective kind; outputs land in ``out`` if given."""
         if kind is Collective.ALL_REDUCE:
-            return self.all_reduce(inputs, op)
+            return self.all_reduce(inputs, op, out)
         if kind is Collective.ALL_GATHER:
-            return self.all_gather(inputs)
+            return self.all_gather(inputs, out)
         if kind is Collective.REDUCE_SCATTER:
-            return self.reduce_scatter(inputs, op)
+            return self.reduce_scatter(inputs, op, out)
         if kind is Collective.BROADCAST:
-            return self.broadcast(inputs, root)
+            return self.broadcast(inputs, root, out)
         if kind is Collective.REDUCE:
-            return self.reduce(inputs, root, op)
+            return self.reduce(inputs, root, op, out)
         raise ValueError(f"unsupported collective {kind}")

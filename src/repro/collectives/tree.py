@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .buffers import output_buffers
 from .types import ReduceOp, validate_world
 
 
@@ -138,7 +139,13 @@ def tree_steps(tree: TreeSchedule) -> int:
 # data plane
 # ---------------------------------------------------------------------------
 class TreeDataPlane:
-    """Executes reduce+broadcast AllReduce on numpy buffers."""
+    """Executes reduce+broadcast AllReduce on numpy buffers, in place.
+
+    Each interior rank reduces its children's partials straight into its
+    own output (a leaf's partial is its input, read where it is), and the
+    broadcast copies the root's total down into every other output.  See
+    :mod:`repro.collectives.buffers` for the output and aliasing rules.
+    """
 
     def __init__(self, tree: TreeSchedule) -> None:
         self.tree = tree
@@ -149,32 +156,33 @@ class TreeDataPlane:
         self.edge_bytes[key] = self.edge_bytes.get(key, 0) + payload.nbytes
 
     def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
+        self,
+        inputs: Sequence[np.ndarray],
+        op: ReduceOp = ReduceOp.SUM,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         if len(inputs) != self.tree.world:
             raise ValueError("one input per rank required")
-        partial: Dict[int, np.ndarray] = {}
+        ins, outs, result = output_buffers(inputs, out, inputs[0].size, shaped=True)
 
         def reduce_up(rank: int) -> np.ndarray:
-            acc = inputs[rank].copy()
+            acc = ins[rank]
             for child in self.tree.children(rank):
                 child_val = reduce_up(child)
                 self._send(child, rank, child_val)
-                acc = op.combine(acc, child_val)
-            partial[rank] = acc
+                acc = op.combine(acc, child_val, out=outs[rank])
             return acc
 
-        total = reduce_up(self.tree.root)
-        outputs: List[Optional[np.ndarray]] = [None] * self.tree.world
+        reduce_up(self.tree.root)
 
-        def broadcast_down(rank: int, value: np.ndarray) -> None:
-            outputs[rank] = value.copy()
+        def broadcast_down(rank: int) -> None:
             for child in self.tree.children(rank):
-                self._send(rank, child, value)
-                broadcast_down(child, value)
+                self._send(rank, child, outs[rank])
+                outs[child][:] = outs[rank]
+                broadcast_down(child)
 
-        broadcast_down(self.tree.root, total)
-        return [out for out in outputs if out is not None]
+        broadcast_down(self.tree.root)
+        return result
 
 
 class DoubleTreeDataPlane:
@@ -185,23 +193,21 @@ class DoubleTreeDataPlane:
         self.edge_bytes: Dict[Tuple[int, int], int] = {}
 
     def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
+        self,
+        inputs: Sequence[np.ndarray],
+        op: ReduceOp = ReduceOp.SUM,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         world = self.trees[0].world
         if self.trees[1].world != world:
             raise ValueError("trees must cover the same world")
         if len(inputs) != world:
             raise ValueError("one input per rank required")
+        ins, outs, result = output_buffers(inputs, out, inputs[0].size, shaped=True)
         half = inputs[0].size // 2
-        halves = ([x.ravel()[:half] for x in inputs], [x.ravel()[half:] for x in inputs])
-        outputs = [np.empty_like(inputs[0]).ravel() for _ in range(world)]
-        for tree, part, sl in zip(
-            self.trees, halves, (slice(0, half), slice(half, None))
-        ):
+        for tree, sl in zip(self.trees, (slice(0, half), slice(half, None))):
             plane = TreeDataPlane(tree)
-            outs = plane.all_reduce(part, op)
+            plane.all_reduce([x[sl] for x in ins], op, [o[sl] for o in outs])
             for (pair, nbytes) in plane.edge_bytes.items():
                 self.edge_bytes[pair] = self.edge_bytes.get(pair, 0) + nbytes
-            for r in range(world):
-                outputs[r][sl] = outs[r]
-        return [o.reshape(inputs[0].shape) for o in outputs]
+        return result

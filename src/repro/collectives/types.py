@@ -10,6 +10,8 @@ and notes other operations are straightforward).
 from __future__ import annotations
 
 import enum
+from typing import Optional
+
 import numpy as np
 
 
@@ -34,10 +36,16 @@ class ReduceOp(enum.Enum):
     MAX = "max"
     MIN = "min"
 
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Apply the operator elementwise."""
-        fn = _NUMPY_OPS[self]
-        return fn(a, b)
+    def combine(
+        self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Apply the operator elementwise: ``a op b``.
+
+        With ``out`` the result is written there (it may be ``a`` or
+        ``b`` itself) and ``out`` is returned; the values are the same
+        bits either way.
+        """
+        return _NUMPY_OPS[self](a, b, out=out)
 
 
 _NUMPY_OPS: dict = {
@@ -48,13 +56,24 @@ _NUMPY_OPS: dict = {
 }
 
 
-def reduce_many(op: ReduceOp, arrays: list) -> np.ndarray:
-    """Fold ``op`` over a list of equally-shaped arrays."""
+def reduce_many(
+    op: ReduceOp, arrays: list, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Fold ``op`` over a list of equally-shaped arrays, left to right.
+
+    The accumulator is ``out`` when given (it may be ``arrays[0]``, but
+    must not overlap any later array), else a copy of ``arrays[0]``; the
+    fold and its operand order are the same either way.
+    """
     if not arrays:
         raise ValueError("need at least one array")
-    acc = arrays[0].copy()
+    if out is None:
+        acc = arrays[0].copy()
+    else:
+        acc = out
+        np.copyto(acc, arrays[0])
     for arr in arrays[1:]:
-        acc = op.combine(acc, arr)
+        op.combine(acc, arr, out=acc)
     return acc
 
 

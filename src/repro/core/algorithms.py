@@ -21,7 +21,11 @@ Built-ins:
   arm the :mod:`repro.autotune` planner can promote for small messages.
 
 An algorithm also supplies the matching data plane so collectives keep
-moving real bytes correctly whichever strategy the provider picks.
+moving real bytes correctly whichever strategy the provider picks.  The
+data-plane contract is :meth:`CollectiveAlgorithm.run_data`
+``(ctx, inputs, outputs, op)``: it writes every rank's result into the
+caller's ``outputs`` (the tenant's receive views, when the service runs
+it) and returns nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from ..collectives.halving_doubling import (
     hd_steps,
     is_power_of_two,
 )
-from ..collectives.ring import RingDataPlane, edge_traffic, steps_for
+from ..collectives.ring import RingDataPlane, RingSchedule, edge_traffic, steps_for
 from ..collectives.tree import (
     DoubleTreeDataPlane,
     double_binary_trees,
@@ -86,9 +90,19 @@ class CollectiveAlgorithm:
         self,
         ctx: AlgorithmContext,
         inputs: Sequence[np.ndarray],
+        outputs: Sequence[np.ndarray],
         op: ReduceOp,
-    ) -> List[np.ndarray]:
-        """Execute the collective on real buffers (data plane)."""
+    ) -> None:
+        """Execute the collective on real buffers (data plane).
+
+        ``inputs`` and ``outputs`` hold one array per rank, sized by the
+        output-buffer convention of :func:`repro.collectives.types.input_bytes`
+        and of the same dtype.  Every element of every output must be
+        written; inputs must be left as they are.  An output may share
+        memory with an input (NCCL's in-place layouts): the built-in
+        planes then snapshot that input first, see
+        :mod:`repro.collectives.buffers`.
+        """
         raise NotImplementedError
 
 
@@ -115,11 +129,9 @@ class RingAlgorithm(CollectiveAlgorithm):
     def steps(self, kind: Collective, world: int) -> int:
         return steps_for(kind, world)
 
-    def run_data(self, ctx, inputs, op):
-        from ..collectives.ring import RingSchedule
-
+    def run_data(self, ctx, inputs, outputs, op):
         plane = RingDataPlane(RingSchedule(tuple(ctx.ring_order)))
-        return plane.run(ctx.kind, list(inputs), op=op, root=ctx.root)
+        plane.run(ctx.kind, inputs, op=op, root=ctx.root, out=outputs)
 
 
 class DoubleTreeAlgorithm(CollectiveAlgorithm):
@@ -161,11 +173,10 @@ class DoubleTreeAlgorithm(CollectiveAlgorithm):
         trees = double_binary_trees(range(world))
         return max(tree_steps(t) for t in trees)
 
-    def run_data(self, ctx, inputs, op):
+    def run_data(self, ctx, inputs, outputs, op):
         if ctx.kind is not Collective.ALL_REDUCE:
-            return self._ring.run_data(ctx, inputs, op)
-        plane = DoubleTreeDataPlane(self._trees(ctx))
-        return plane.all_reduce(list(inputs), op)
+            return self._ring.run_data(ctx, inputs, outputs, op)
+        DoubleTreeDataPlane(self._trees(ctx)).all_reduce(inputs, op, outputs)
 
 
 class HalvingDoublingAlgorithm(CollectiveAlgorithm):
@@ -210,11 +221,10 @@ class HalvingDoublingAlgorithm(CollectiveAlgorithm):
             return self._ring.steps(kind, world)
         return hd_steps(world)
 
-    def run_data(self, ctx, inputs, op):
+    def run_data(self, ctx, inputs, outputs, op):
         if not self._applies(ctx.kind, ctx.world):
-            return self._ring.run_data(ctx, inputs, op)
-        plane = HalvingDoublingDataPlane(ctx.ring_order)
-        return plane.all_reduce(list(inputs), op)
+            return self._ring.run_data(ctx, inputs, outputs, op)
+        HalvingDoublingDataPlane(ctx.ring_order).all_reduce(inputs, op, outputs)
 
 
 _REGISTRY: Dict[str, CollectiveAlgorithm] = {}

@@ -518,18 +518,19 @@ class CollectiveInstance:
                     f"collective seq={self.seq} launched with mixed strategy "
                     f"versions {sorted(set(self.rank_versions.values()))}"
                 )
-        if self.send_views is not None and self.consistent:
+        if self.recv_views is not None and self.consistent:
+            # The data plane writes straight into the tenant's receive
+            # views; without them there is nothing to compute.
             from .algorithms import get_algorithm
 
             version = next(iter(self.rank_versions.values()))
             strategy = comm.strategy_history[version]
-            algorithm = get_algorithm(strategy.algorithm)
-            outputs = algorithm.run_data(
-                self._context(strategy, rank=0), self.send_views, self.reduce_op
+            get_algorithm(strategy.algorithm).run_data(
+                self._context(strategy, rank=0),
+                self.send_views,
+                self.recv_views,
+                self.reduce_op,
             )
-            if self.recv_views is not None:
-                for dst, src in zip(self.recv_views, outputs):
-                    np.copyto(dst, src.reshape(dst.shape))
         self._close_phases(self.end_time)
         if self.span is not None and not self.span.finished:
             self.span.mark(EVENT_LAST_FLOW_END, self.end_time)

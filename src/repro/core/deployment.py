@@ -33,7 +33,7 @@ from ..baselines.nccl import default_channels
 from ..cluster.gpu import AsyncOp, Event, GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
-from ..collectives.types import input_bytes
+from ..collectives.types import Collective, input_bytes
 from ..netsim.errors import (
     CollectiveTimeoutError,
     CommunicatorError,
@@ -669,13 +669,36 @@ class MccsDeployment:
     def _validated_views(
         self, app_id: str, comm: ServiceCommunicator, request: CollectiveRequest
     ) -> Tuple[Optional[List], Optional[List]]:
-        """Bounds-check buffer references and materialize numpy views."""
+        """Bounds-check buffer references and materialize numpy views.
+
+        Everything is checked here, before the collective is enqueued:
+        the data plane writes the receive views in place, so a request it
+        would reject mid-run could leave them half written.
+        """
         if not request.send_refs:
             return None, None
         if len(request.send_refs) != comm.world:
             raise InvalidBufferError("need one send buffer per rank")
         dtype = np.dtype(request.dtype)
         expected = input_bytes(request.kind, request.out_bytes, comm.world)
+        # ReduceScatter's input is world x output by construction of
+        # input_bytes; AllGather's floor division can drop bytes.
+        in_elems, in_rem = divmod(expected, dtype.itemsize)
+        out_elems, out_rem = divmod(request.out_bytes, dtype.itemsize)
+        if (
+            in_rem
+            or out_rem
+            or (
+                request.kind is Collective.ALL_GATHER
+                and out_elems != comm.world * in_elems
+            )
+        ):
+            raise InvalidBufferError(
+                f"{request.kind} of {request.out_bytes} bytes on "
+                f"{comm.world} ranks is not a whole number of {dtype} "
+                f"elements per rank buffer ({expected} bytes in, "
+                f"{request.out_bytes} out)"
+            )
         send_views = []
         for rank, ref in enumerate(request.send_refs):
             if ref.nbytes != expected:

@@ -18,25 +18,26 @@ the built-ins:
 Instructions run in dependency order (the validator's topological sort),
 so the interpreter is also an executable semantics for the IR: if the
 abstract validator accepts a program, this interpreter computes the
-numpy reference answer.
+numpy reference answer.  Like the built-in planes it runs in place on
+the caller's output buffers (``out=``), see
+:mod:`repro.collectives.buffers`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..collectives.buffers import output_buffers
 from ..collectives.types import Collective, ReduceOp
 from ..netsim.errors import MalformedProgramError
 from .ir import OpKind, Program, chunk_spans
 from .validate import NodeId, toposort
 
 
-def _working_vectors(
-    program: Program, inputs: Sequence[np.ndarray]
-) -> Tuple[List[np.ndarray], int]:
-    """Per-rank working vectors (flat copies) and their element count."""
+def _output_size(program: Program, inputs: Sequence[np.ndarray]) -> int:
+    """Checked per-rank output element count of ``program`` on ``inputs``."""
     world = program.world
     if len(inputs) != world:
         raise MalformedProgramError(
@@ -50,31 +51,61 @@ def _working_vectors(
                 f"{program.name}: rank buffers must match in shape and dtype"
             )
     if program.kind is Collective.ALL_GATHER:
-        block = first.size
-        work = [
-            np.zeros(block * world, dtype=first.dtype) for _ in range(world)
-        ]
+        return first.size * world
+    if program.kind is Collective.REDUCE_SCATTER:
+        if first.size % world:
+            raise MalformedProgramError(
+                f"{program.name}: reduce-scatter input size {first.size} "
+                f"not divisible by world {world}"
+            )
+        return first.size // world
+    return first.size
+
+
+def _working_vectors(
+    program: Program,
+    inputs: Sequence[np.ndarray],
+    outputs: Sequence[np.ndarray],
+) -> Tuple[List[np.ndarray], int]:
+    """Per-rank flat working vectors and their element count.
+
+    The program runs in the outputs themselves, seeded with the chunks
+    each rank holds before it starts (see
+    :func:`~repro.synth.ir.initial_state`): every chunk for AllReduce and
+    Reduce, the own block for AllGather, the root's buffer for
+    Broadcast.  ReduceScatter works on the full vector, of which only one
+    block is output, so it works in copies of the inputs.
+    """
+    world = program.world
+    kind = program.kind
+    if kind is Collective.REDUCE_SCATTER:
+        return [a.copy() for a in inputs], inputs[0].size
+    if kind is Collective.ALL_GATHER:
+        block = inputs[0].size
         for rank in range(world):
-            work[rank][rank * block : (rank + 1) * block] = inputs[
-                rank
-            ].ravel()
-        return work, block * world
-    if program.kind is Collective.REDUCE_SCATTER and first.size % world:
-        raise MalformedProgramError(
-            f"{program.name}: reduce-scatter input size {first.size} "
-            f"not divisible by world {world}"
-        )
-    work = [inputs[r].copy().ravel() for r in range(world)]
-    return work, first.size
+            outputs[rank][rank * block : (rank + 1) * block] = inputs[rank]
+        return list(outputs), block * world
+    seeded = [program.root] if kind is Collective.BROADCAST else range(world)
+    for rank in seeded:
+        outputs[rank][:] = inputs[rank]
+    return list(outputs), inputs[0].size
 
 
 def run_program(
     program: Program,
     inputs: Sequence[np.ndarray],
     op: ReduceOp = ReduceOp.SUM,
+    out: Optional[Sequence[np.ndarray]] = None,
 ) -> List[np.ndarray]:
-    """Execute ``program`` on real buffers; returns per-rank outputs."""
-    work, total = _working_vectors(program, inputs)
+    """Execute ``program`` on real buffers; returns per-rank outputs.
+
+    The outputs are ``out`` when given (written in place, see
+    :mod:`repro.collectives.buffers`), else freshly allocated.
+    """
+    size = _output_size(program, inputs)
+    shaped = program.kind not in (Collective.ALL_GATHER, Collective.REDUCE_SCATTER)
+    ins, outs, result = output_buffers(inputs, out, size, shaped=shaped)
+    work, total = _working_vectors(program, ins, outs)
     # Buffers smaller than the chunk count leave trailing chunks empty
     # (zero-length slices), exactly like the built-in ring planes.
     spans = chunk_spans(program.kind, total, program.num_chunks, program.world)
@@ -123,30 +154,25 @@ def run_program(
             if instr.kind is OpKind.RECV:
                 dst[:] = payload
             else:  # RECV_REDUCE
-                dst[:] = op.combine(dst, payload)
+                op.combine(dst, payload, out=dst)
 
-    return _finalize(program, inputs, work, total)
+    _finalize(program, ins, outs, work)
+    return result
 
 
 def _finalize(
     program: Program,
     inputs: Sequence[np.ndarray],
+    outputs: Sequence[np.ndarray],
     work: List[np.ndarray],
-    total: int,
-) -> List[np.ndarray]:
+) -> None:
+    """Move what the working vectors do not already hold into the outputs."""
     world = program.world
     if program.kind is Collective.REDUCE_SCATTER:
-        block = total // world
-        return [
-            work[r][r * block : (r + 1) * block].copy() for r in range(world)
-        ]
-    if program.kind is Collective.REDUCE:
-        outputs = [inputs[r].copy() for r in range(world)]
-        outputs[program.root] = work[program.root].reshape(
-            inputs[program.root].shape
-        )
-        return outputs
-    if program.kind is Collective.ALL_GATHER:
-        return work
-    # ALL_REDUCE / BROADCAST: same shape as the inputs.
-    return [work[r].reshape(inputs[r].shape) for r in range(world)]
+        block = outputs[0].size
+        for r in range(world):
+            outputs[r][:] = work[r][r * block : (r + 1) * block]
+    elif program.kind is Collective.REDUCE:
+        for r in range(world):
+            if r != program.root:
+                outputs[r][:] = inputs[r]

@@ -13,8 +13,9 @@ strategy:
 * ``steps`` reports the program's pipeline step count to the fixed
   latency model;
 * ``run_data`` byte-moves through the numpy interpreter
-  (:func:`repro.synth.interp.run_program`), so consistency checks and
-  the shared reference suite apply unmodified.
+  (:func:`repro.synth.interp.run_program`), in place on the caller's
+  outputs like the built-in planes, so consistency checks and the shared
+  reference suite apply unmodified.
 
 A synthesized program targets one (kind, world) point and is built
 against a concrete rank->location mapping, so it deliberately ignores
@@ -109,11 +110,12 @@ class SynthAlgorithm(CollectiveAlgorithm):
         self,
         ctx: AlgorithmContext,
         inputs: Sequence[np.ndarray],
+        outputs: Sequence[np.ndarray],
         op: ReduceOp,
-    ) -> List[np.ndarray]:
+    ) -> None:
         if not self._applies(ctx):
-            return self._ring.run_data(ctx, inputs, op)
-        return run_program(self.program, list(inputs), op)
+            return self._ring.run_data(ctx, inputs, outputs, op)
+        run_program(self.program, inputs, op, outputs)
 
     def __repr__(self) -> str:
         p = self.program

@@ -58,8 +58,29 @@ def teardown_module(module):
 ALL_ALGORITHMS = registered_algorithms()
 
 
-def _run(name, kind, inputs, op, root=0):
-    """Execute ``kind`` through the registry's run_data interface."""
+def _output_size(kind, inputs):
+    """Per-rank output elements under the output-buffer convention."""
+    size, world = inputs[0].size, len(inputs)
+    if kind is Collective.ALL_GATHER:
+        return size * world
+    if kind is Collective.REDUCE_SCATTER:
+        return size // world
+    return size
+
+
+def _poison(dtype):
+    """A fill no collective of the suite's positive inputs can produce."""
+    if np.issubdtype(dtype, np.floating):
+        return np.nan
+    return np.iinfo(dtype).min
+
+
+def _run(name, kind, inputs, op, root=0, outputs=None):
+    """Execute ``kind`` through the registry's run_data interface.
+
+    Outputs default to poisoned buffers, so a plane that skips a region
+    of any rank's output leaves the poison there and fails the suite.
+    """
     world = len(inputs)
     ctx = AlgorithmContext(
         kind=kind,
@@ -70,7 +91,14 @@ def _run(name, kind, inputs, op, root=0):
         ring_order=tuple(range(world)),
         channels=1,
     )
-    return get_algorithm(name).run_data(ctx, list(inputs), op)
+    if outputs is None:
+        dtype = inputs[0].dtype
+        outputs = [
+            np.full(_output_size(kind, inputs), _poison(dtype), dtype=dtype)
+            for _ in range(world)
+        ]
+    assert get_algorithm(name).run_data(ctx, list(inputs), outputs, op) is None
+    return outputs
 
 
 def _make_inputs(kind, world, elems, dtype, rng):
@@ -110,11 +138,12 @@ def test_registered_algorithms_byte_exact_vs_reference(
     root %= world
     rng = np.random.default_rng(seed)
     inputs = _make_inputs(kind, world, elems, dtype, rng)
+    pristine = [a.copy() for a in inputs]
     outputs = _run(name, kind, inputs, op, root=root)
-    expected = reference_outputs(
-        kind, [a.copy() for a in inputs], op=op, root=root
-    )
+    expected = reference_outputs(kind, pristine, op=op, root=root)
     assert len(outputs) == world
+    for got, was in zip(inputs, pristine):
+        np.testing.assert_array_equal(got, was, err_msg="input modified")
     for rank, (out, want) in enumerate(zip(outputs, expected)):
         assert out.dtype == dtype
         np.testing.assert_array_equal(
@@ -139,3 +168,45 @@ def test_all_reduce_sum_matches_numpy_floats(name, world, size, seed):
     expected = np.sum(inputs, axis=0)
     for out in outputs:
         assert np.allclose(out, expected)
+
+
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+@given(
+    kind=st.sampled_from(list(Collective)),
+    world=st.integers(2, 9),
+    elems=st.sampled_from([1, 3, 5, 7, 11, 17]),
+    op=st.sampled_from(list(ReduceOp)),
+    dtype=st.sampled_from([np.int32, np.float64]),
+    root=st.integers(0, 8),
+    offset=st.integers(0, 5),
+    stride=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_outputs_written_through_offset_strided_views(
+    name, kind, world, elems, op, dtype, root, offset, stride, seed
+):
+    """Outputs may be offset, strided views into one larger buffer, the
+    way a receive ``BufferRef`` views device memory: the plane writes
+    each view exactly and nothing around it."""
+    root %= world
+    rng = np.random.default_rng(seed)
+    inputs = _make_inputs(kind, world, elems, dtype, rng)
+    size = _output_size(kind, inputs)
+    span = offset + size * stride
+    backing = np.full(world * span + offset, _poison(dtype), dtype=dtype)
+    outputs = [
+        backing[r * span + offset : (r + 1) * span : stride][:size]
+        for r in range(world)
+    ]
+    _run(name, kind, inputs, op, root=root, outputs=outputs)
+    expected = reference_outputs(kind, inputs, op=op, root=root)
+    untouched = np.ones(backing.size, dtype=bool)
+    for rank, (out, want) in enumerate(zip(outputs, expected)):
+        np.testing.assert_array_equal(
+            out, want.ravel(), err_msg=f"{name} {kind} world={world} rank={rank}"
+        )
+        lo = rank * span + offset
+        untouched[lo : lo + size * stride : stride] = False
+    poison = np.full(untouched.sum(), _poison(dtype), dtype=dtype)
+    np.testing.assert_array_equal(backing[untouched], poison)

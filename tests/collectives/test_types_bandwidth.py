@@ -36,6 +36,24 @@ def test_reduce_many():
         reduce_many(ReduceOp.SUM, [])
 
 
+@pytest.mark.parametrize("op", list(ReduceOp))
+def test_reduce_many_into_out_is_the_same_fold(op):
+    """Accumulating in ``out`` (even in ``arrays[0]`` itself) keeps the
+    left-to-right fold, so float results are the same bits."""
+    rng = np.random.default_rng(1)
+    arrays = [rng.standard_normal(257).astype(np.float32) for _ in range(5)]
+    want = arrays[0]
+    for arr in arrays[1:]:
+        want = op.combine(want, arr)
+    out = np.empty(257, dtype=np.float32)
+    assert reduce_many(op, arrays, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert reduce_many(op, arrays).tobytes() == want.tobytes()
+    first = arrays[0]
+    assert reduce_many(op, arrays, out=first) is first
+    assert first.tobytes() == want.tobytes()
+
+
 def test_input_bytes_follows_output_convention():
     # "512 KB AllGather corresponds to 128 KB input per GPU" (4 GPUs).
     assert input_bytes(Collective.ALL_GATHER, 512 * 1024, 4) == 128 * 1024
